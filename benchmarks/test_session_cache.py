@@ -10,6 +10,9 @@ metrics counters make that auditable.  These guards pin the contract:
   functional simulator exactly once per (workload, program variant) — here
   2 workloads × (train + base ref) = 4 runs total instead of the seed's
   3 × 2 × (2 + 2) = 24,
+* the same sweep builds one stream core per (workload, variant) and one
+  overlay per (workload, variant, predictor fingerprint), and serves every
+  other cell from the stream cache,
 * re-running the whole sweep against the warm session is measurably faster
   and simulates nothing.
 """
@@ -61,7 +64,9 @@ def test_sweep_runs_one_funcsim_per_workload_variant(benchmark):
     runs0 = metrics.get("sim.runs")
     trace_miss0 = metrics.get("session.trace.misses")
     profile_miss0 = metrics.get("session.profile.misses")
-    trace_hit0 = metrics.get("session.trace.hits")
+    core0 = metrics.get("session.stream.core_builds")
+    overlay0 = metrics.get("session.stream.misses")
+    stream_hit0 = metrics.get("session.stream.hits")
 
     t0 = time.perf_counter()
     rows = run_once(benchmark, _run_sweep)
@@ -72,9 +77,14 @@ def test_sweep_runs_one_funcsim_per_workload_variant(benchmark):
     assert metrics.get("sim.runs") - runs0 == 2 * len(SWEEP_WORKLOADS)
     assert metrics.get("session.trace.misses") - trace_miss0 == len(SWEEP_WORKLOADS)
     assert metrics.get("session.profile.misses") - profile_miss0 == len(SWEEP_WORKLOADS)
-    # Every other (point, workload, config) cell hit the trace cache.
-    expected_hits = len(SWEEP_POINTS) * len(SWEEP_WORKLOADS) * len(SWEEP_CONFIGS) - len(SWEEP_WORKLOADS)
-    assert metrics.get("session.trace.hits") - trace_hit0 == expected_hits
+    # One stream core per (workload, variant) — both configs run 'base' —
+    # and one overlay per (workload, variant, predictor fingerprint); every
+    # other (point, workload, config) cell is a stream-cache hit.
+    cells = len(SWEEP_POINTS) * len(SWEEP_WORKLOADS) * len(SWEEP_CONFIGS)
+    overlays = len(SWEEP_WORKLOADS) * len(SWEEP_CONFIGS)
+    assert metrics.get("session.stream.core_builds") - core0 == len(SWEEP_WORKLOADS)
+    assert metrics.get("session.stream.misses") - overlay0 == overlays
+    assert metrics.get("session.stream.hits") - stream_hit0 == cells - overlays
 
     # Warm re-run: identical results, zero simulation, measurably faster.
     runs_warm = metrics.get("sim.runs")

@@ -1,6 +1,6 @@
 """Throughput benchmarks for the execution core, with regression tracking.
 
-``repro bench`` measures three layers of the stack on real workloads:
+``repro bench`` measures the layers of the stack on real workloads:
 
 * **funcsim** — committed instructions per second for the reference
   interpreter (``step()``-equivalent loop), the decoded no-record fast path
@@ -19,6 +19,10 @@
   preparation included, series-continuous with pre-fast-tier baselines) and
   the event-driven fast tier measured over a pre-built stream — the way
   campaign cells run it through the SimSession stream cache.
+* **stream** — stream preparation throughput (thousand entries per second)
+  for each half of :func:`~repro.uarch.stream.prepare_stream`: the
+  predictor-free core, built once per trace, and a predictor's overlay over
+  a built core, built once per predictor fingerprint.
 * **session** — cold-vs-warm :meth:`~repro.core.session.SimSession.ref_trace`
   latency, i.e. what the artifact caches buy a sweep.
 
@@ -52,6 +56,7 @@ from ..uarch.pipeline import simulate
 from ..uarch.recovery import RecoveryScheme
 from ..uarch.stream import prepare_stream
 from ..vp.base import NoPredictor
+from ..vp.rvp import DynamicRVP
 from ..workloads.suite import WORKLOAD_CLASSES, make_workload
 
 #: Schema identifier written into every BENCH file.
@@ -71,6 +76,8 @@ REGRESSION_METRICS = (
     # only arms once a baseline carrying them is committed.
     "jit_minstr_s_geomean",
     "batched_minstr_s_per_lane_geomean",
+    "stream_core_kentries_s_geomean",
+    "stream_overlay_kentries_s_geomean",
 )
 
 #: Workloads used by ``--quick`` (one SPECint, one SPECfp).
@@ -245,6 +252,31 @@ def _bench_pipeline(name: str, max_insts: int, repeats: int) -> Dict[str, float]
     }
 
 
+def _bench_stream(name: str, max_insts: int, repeats: int) -> Dict[str, float]:
+    """Stream-preparation throughput, core and overlay measured apart.
+
+    ``core_kentries_s`` times a full preparation under the no-predict
+    baseline, whose overlay is a bare ``[None] * n``; ``overlay_kentries_s``
+    times the ``drvp_all`` predictor's overlay over that built core.
+    """
+    workload = make_workload(name)
+    program, memory = workload.build("ref")
+    trace = FunctionalSimulator(program, memory=memory).run(
+        max_instructions=max_insts, collect_trace=True
+    ).trace
+    core = prepare_stream(trace, NoPredictor()).core
+    core_seconds = _best_time(lambda: prepare_stream(trace, NoPredictor()), repeats)
+    overlay_seconds = _best_time(
+        lambda: prepare_stream(None, DynamicRVP(loads_only=False), core=core), repeats
+    )
+    kentries = len(core) / 1e3
+    return {
+        "entries": len(core),
+        "core_kentries_s": kentries / core_seconds if core_seconds > 0 else 0.0,
+        "overlay_kentries_s": kentries / overlay_seconds if overlay_seconds > 0 else 0.0,
+    }
+
+
 def _bench_session(name: str, max_insts: int) -> Dict[str, float]:
     """Cold vs warm ref-trace latency through a fresh :class:`SimSession`."""
     session = SimSession()
@@ -337,6 +369,7 @@ def run_benchmarks(
     funcsim: Dict[str, Dict[str, float]] = {}
     engines: Dict[str, Dict[str, float]] = {}
     pipeline: Dict[str, Dict[str, float]] = {}
+    stream: Dict[str, Dict[str, float]] = {}
     session: Dict[str, Dict[str, float]] = {}
     for name in config.workloads:
         note(f"bench {name}: funcsim")
@@ -347,6 +380,8 @@ def run_benchmarks(
         )
         note(f"bench {name}: pipeline")
         pipeline[name] = _bench_pipeline(name, config.max_instructions, config.repeats)
+        note(f"bench {name}: stream")
+        stream[name] = _bench_stream(name, config.max_instructions, config.repeats)
         note(f"bench {name}: session")
         session[name] = _bench_session(name, config.max_instructions)
 
@@ -365,6 +400,10 @@ def run_benchmarks(
             [r["fast_cycles_per_s"] for r in pipeline.values()]
         ),
         "pipeline_fast_speedup_geomean": _geomean([r["fast_speedup"] for r in pipeline.values()]),
+        "stream_core_kentries_s_geomean": _geomean([r["core_kentries_s"] for r in stream.values()]),
+        "stream_overlay_kentries_s_geomean": _geomean(
+            [r["overlay_kentries_s"] for r in stream.values()]
+        ),
     }
     profiles: Dict[str, List[Dict[str, object]]] = {}
     if config.profile_top > 0 and config.workloads:
@@ -392,6 +431,7 @@ def run_benchmarks(
             "funcsim": funcsim,
             "engines": engines,
             "pipeline": pipeline,
+            "stream": stream,
             "session": session,
         },
         "summary": summary,

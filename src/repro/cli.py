@@ -238,7 +238,28 @@ def _run_campaign_cli(args: argparse.Namespace, workloads) -> int:
     return _render_campaign(report, args)
 
 
+def _campaign_flags_need_out_dir(args: argparse.Namespace) -> bool:
+    """Report campaign-only flags given without ``--out-dir`` (True = error).
+
+    ``--store``, ``--workers`` and ``--lease`` act only on a journaled
+    campaign; without ``--out-dir`` they would be silently ignored.
+    """
+    if args.out_dir is not None:
+        return False
+    given = [
+        flag for flag, value in (
+            ("--store", args.store), ("--workers", args.workers), ("--lease", args.lease)
+        ) if value is not None
+    ]
+    for flag in given:
+        print(f"repro: {flag} requires --out-dir (it applies only to a journaled campaign)",
+              file=sys.stderr)
+    return bool(given)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    if _campaign_flags_need_out_dir(args):
+        return 2
     if args.resume or args.out_dir:
         if args.out_dir is None:
             print("repro: --resume requires --out-dir (where the journal lives)", file=sys.stderr)
@@ -264,6 +285,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    if _campaign_flags_need_out_dir(args):
+        return 2
     if args.resume or args.out_dir:
         if args.out_dir is None:
             print("repro: --resume requires --out-dir (where the journal lives)", file=sys.stderr)

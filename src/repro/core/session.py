@@ -56,7 +56,7 @@ import time
 from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor, process
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..compiler.marking import mark_static_rvp
 from ..compiler.realloc import ReallocReport, reallocate
@@ -70,7 +70,7 @@ from ..sim.functional import FunctionalSimulator
 from ..sim.trace import TraceRecord
 from ..uarch.config import MachineConfig
 from ..uarch.recovery import RecoveryScheme
-from ..uarch.stream import StreamEntry, prepare_stream
+from ..uarch.stream import Stream, StreamCore, prepare_stream
 from ..vp.base import ValuePredictor
 from ..workloads.base import Workload
 from ..workloads.suite import make_workload
@@ -89,10 +89,23 @@ DEFAULT_TRACE_BYTES = int(os.environ.get("REPRO_SESSION_TRACE_BYTES", str(256 * 
 #: tuple overhead) — an accounting constant, not a measurement.
 TRACE_RECORD_BYTES = 400
 
-#: Estimated resident cost of one cached :class:`StreamEntry` *beyond* its
-#: TraceRecord (which the trace cache already accounts for — stream entries
-#: alias trace records, they do not copy them).
-STREAM_ENTRY_BYTES = 320
+#: Resident cost of one :class:`~repro.uarch.stream.CoreEntry` *beyond* its
+#: TraceRecord (which the trace cache already accounts for — core entries
+#: alias trace records, they do not copy them): the slotted entry, its
+#: dependence tuples, its list slot and its share of the per-pc instruction
+#: map.  Measured with ``tracemalloc`` over the 11 workloads' cores at 3k and
+#: 12k instructions (CPython 3.11, x86-64): 199-218 bytes per entry, mean
+#: 205.  ``tests/test_core_session.py`` re-measures every estimate against a
+#: real core and overlay.
+CORE_ENTRY_BYTES = 205
+
+#: Resident cost of one overlay list slot (a pointer), candidate or not.
+OVERLAY_SLOT_BYTES = 8
+
+#: Resident cost of one candidate's overlay tuple, measured like
+#: :data:`CORE_ENTRY_BYTES`: 80-83 bytes (the tuple's members are shared
+#: objects — the source, the core's seq ints and the bool singletons).
+OVERLAY_CANDIDATE_BYTES = 80
 
 #: Program variants whose construction does not depend on profile lists.
 _THRESHOLD_FREE_VARIANTS = ("base",)
@@ -121,6 +134,18 @@ class TrainArtifacts:
     instructions: int
 
 
+class _TraceStreams:
+    """One stream-cache entry: a trace's core, its cached streams by
+    predictor fingerprint, and their estimated resident bytes."""
+
+    __slots__ = ("core", "streams", "bytes")
+
+    def __init__(self, core: StreamCore, core_bytes: int) -> None:
+        self.core = core
+        self.streams: Dict[Hashable, Stream] = {}
+        self.bytes = core_bytes
+
+
 class SimSession:
     """Memoized functional-simulation artifacts, shared process-wide."""
 
@@ -142,7 +167,8 @@ class SimSession:
         self._realloc: Dict[Tuple, ReallocReport] = {}
         self._traces: "OrderedDict[Tuple, Tuple[TraceRecord, ...]]" = OrderedDict()
         self._trace_resident_bytes = 0
-        self._streams: "OrderedDict[Tuple, List[StreamEntry]]" = OrderedDict()
+        #: trace key -> that trace's core and its cached streams
+        self._streams: "OrderedDict[Tuple, _TraceStreams]" = OrderedDict()
         self._stream_resident_bytes = 0
         self._batches: Dict[Tuple, Dict[str, Dict[str, object]]] = {}
 
@@ -152,9 +178,14 @@ class SimSession:
         return 128 + TRACE_RECORD_BYTES * len(trace)
 
     @staticmethod
-    def _stream_cost(stream: List[StreamEntry]) -> int:
-        """Estimated resident bytes of one cached pipeline stream."""
-        return 128 + STREAM_ENTRY_BYTES * len(stream)
+    def _core_cost(core: StreamCore) -> int:
+        """Estimated resident bytes of one cached stream core."""
+        return 128 + CORE_ENTRY_BYTES * len(core)
+
+    @staticmethod
+    def _overlay_cost(stream: Stream) -> int:
+        """Estimated resident bytes of one cached stream's overlay."""
+        return 128 + OVERLAY_SLOT_BYTES * len(stream) + OVERLAY_CANDIDATE_BYTES * stream.candidates
 
     # ------------------------------------------------------------------
     # Workloads
@@ -337,51 +368,59 @@ class SimSession:
         threshold: Optional[float] = None,
         default_threshold: float = 0.8,
         input_name: str = "ref",
-    ) -> List[StreamEntry]:
+    ) -> Stream:
         """The prepared pipeline stream of one trace under one predictor.
 
-        A stream is a pure function of (trace, predictor ``source()``
-        routing), so it is cached under (canonical trace key, predictor
-        ``static_fingerprint()``): a predictor × recovery × threshold
-        campaign grid prepares each trace once per *fingerprint*, not once
-        per cell — e.g. every ``DynamicRVP`` threshold point shares one
-        stream.  A ``None`` fingerprint (``source()`` with side effects)
-        bypasses the cache and rebuilds per call.
+        A stream's core is a pure function of the trace, and its overlay of
+        the trace plus the predictor's ``source()`` routing.  So one cache
+        entry per canonical trace key holds the trace's core and its
+        overlays keyed by predictor ``static_fingerprint()``: a predictor ×
+        recovery × threshold × machine grid builds each core once per trace
+        and each overlay once per *fingerprint* — e.g. every ``DynamicRVP``
+        threshold point shares one overlay.  A ``None`` fingerprint
+        (``source()`` with side effects) reuses the cached core but gets a
+        fresh, uncached overlay on every call.
 
         Cached streams share the trace LRU's byte budget
-        (``REPRO_SESSION_TRACE_BYTES``): stream bytes count toward the same
-        ceiling, and stream entries are evicted (LRU) when the combined
-        resident estimate exceeds it.
+        (``REPRO_SESSION_TRACE_BYTES``): their estimated bytes count toward
+        the same ceiling, and a trace's core and overlays are evicted
+        together (LRU) when the combined resident estimate exceeds it.
         """
         metrics = get_metrics()
         variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
+        key = (name, scale, max_instructions, variant, eff_threshold, input_name)
         fingerprint = predictor.static_fingerprint()
-        if fingerprint is None:
-            metrics.inc("session.stream.uncacheable")
+        cached = self._streams.get(key)
+        if cached is not None:
+            self._streams.move_to_end(key)
+            stream = cached.streams.get(fingerprint)  # never holds a None key
+            if stream is not None:
+                metrics.inc("session.stream.hits")
+                return stream
+            stream = prepare_stream(None, predictor, core=cached.core)
+        else:
             trace = self.ref_trace(
                 name, scale, max_instructions, variant, eff_threshold, default_threshold, input_name
             )
-            return prepare_stream(trace, predictor)
-        key = (name, scale, max_instructions, variant, eff_threshold, input_name, fingerprint)
-        stream = self._streams.get(key)
-        if stream is not None:
-            self._streams.move_to_end(key)
-            metrics.inc("session.stream.hits")
-            return stream
-        metrics.inc("session.stream.misses")
-        trace = self.ref_trace(
-            name, scale, max_instructions, variant, eff_threshold, default_threshold, input_name
-        )
-        stream = prepare_stream(trace, predictor)
-        self._streams[key] = stream
-        self._stream_resident_bytes += self._stream_cost(stream)
+            stream = prepare_stream(trace, predictor)
+            metrics.inc("session.stream.core_builds")
+            cached = self._streams[key] = _TraceStreams(stream.core, self._core_cost(stream.core))
+            self._stream_resident_bytes += cached.bytes
+        if fingerprint is None:
+            metrics.inc("session.stream.uncacheable")
+        else:
+            metrics.inc("session.stream.misses")
+            cached.streams[fingerprint] = stream
+            cost = self._overlay_cost(stream)
+            cached.bytes += cost
+            self._stream_resident_bytes += cost
         # Same always-keep-the-newest rule as the trace LRU; the ceiling is
         # the *combined* trace + stream resident estimate.
         while len(self._streams) > 1 and (
             self._trace_resident_bytes + self._stream_resident_bytes > self.trace_bytes
         ):
             _, evicted = self._streams.popitem(last=False)
-            self._stream_resident_bytes -= self._stream_cost(evicted)
+            self._stream_resident_bytes -= evicted.bytes
             metrics.inc("session.stream.evictions")
         return stream
 
@@ -467,7 +506,8 @@ class SimSession:
             "realloc_reports": len(self._realloc),
             "traces": len(self._traces),
             "trace_bytes": self._trace_resident_bytes,
-            "streams": len(self._streams),
+            "stream_cores": len(self._streams),
+            "streams": sum(len(cached.streams) for cached in self._streams.values()),
             "stream_bytes": self._stream_resident_bytes,
             "batch_digests": len(self._batches),
         }

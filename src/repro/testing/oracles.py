@@ -621,10 +621,13 @@ def check_pass_preservation(case: GeneratedCase) -> None:
 def _train_predictor(trace: Iterable[TraceRecord], predictor: ValuePredictor) -> Dict[int, Tuple[int, int]]:
     """Drive a predictor through a committed trace the way the pipeline does.
 
-    Mirrors :func:`repro.uarch.stream.prepare_stream`'s correctness logic
-    (same-register, correlated-register and previous-instance sources) and
+    Mirrors the correctness logic of a stream overlay (the ``pred_correct``
+    of :func:`repro.uarch.stream.prepare_stream`'s overlay slots, for
+    same-register, correlated-register and previous-instance sources) and
     calls ``predictor.update`` for every candidate, whether or not a
-    prediction would have been issued.  Returns ``pc -> (updates, correct)``.
+    prediction would have been issued.  Unlike the overlay pass, it
+    queries ``source()`` per record, interleaved with ``update``.  Returns
+    ``pc -> (updates, correct)``.
     """
     reg_values = [0] * 64
     last_result_of_pc: Dict[int, int] = {}

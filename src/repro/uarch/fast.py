@@ -41,17 +41,21 @@ ROB scan (including the "both FU banks exhausted" early break).
 
 **Pre-decoded stream facts + pooled DynInsts.**  The hot loop reads the flat
 per-pc booleans :func:`~repro.uarch.stream.prepare_stream` bakes onto
-:class:`~repro.uarch.stream.StreamEntry` (``is_load``/``is_halt``/
-``cond_branch``/...) instead of chasing ``record.inst.op`` attribute chains,
+:class:`~repro.uarch.stream.CoreEntry` (``is_load``/``is_halt``/
+``cond_branch``/...) instead of chasing ``record.inst.op`` attribute chains
+(the predictor-specific facts come from the stream's overlay, by seq),
 and fetch recycles committed/squashed :class:`FastDynInst` objects from a
 free pool instead of allocating per dynamic instruction.  Two pool-hygiene
 invariants: (1) a DynInst's ``gen`` is **monotonically increasing across
 reuse** (acquire restores ``gen + 1`` over the reset); completion events are
-bare instruction references validated by ``state == _ISSUED and done_at ==
-cycle``, which a stale event from a previous incarnation can only pass in
-the one case where it is harmless — the recycled instruction legitimately
-completes at that exact cycle, making the duplicate idempotent (the second
-event sees ``_DONE`` and skips); (2) an instruction that never touched speculative
+bare instruction references, so squashing or resetting an issued
+instruction removes its pending event from its bucket (:meth:`_cancel_event`)
+and clears ``done_at``, the validity cookie checked for an event already
+popped with the current cycle's batch.  A stale event must never be
+processed: it would complete the recycled or re-issued instruction at its
+old position in the bucket, and the order of completions within a cycle
+decides the order of predictor training and prediction resolution;
+(2) an instruction that never touched speculative
 state (renamed on the fast path below, committed normally) is returned to
 the pool with every other field already at its post-reset default, so
 acquire only rewrites the handful of fields the plain lifecycle dirties —
@@ -82,7 +86,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from ..sim.trace import TraceRecord
 from ..vp.base import ValuePredictor
@@ -90,7 +94,7 @@ from .config import MachineConfig
 from .pipeline import _DONE, _ISSUED, _WAIT, DynInst, PipelineSimulator
 from .recovery import RecoveryScheme
 from .stats import SimStats
-from .stream import StreamEntry
+from .stream import Stream
 
 #: Mutation seam (see module docstring): True seeds a skip-accounting bug.
 _TEST_SKIP_EVENT = False
@@ -130,7 +134,7 @@ class FastPipelineSimulator(PipelineSimulator):
         config: MachineConfig,
         recovery: RecoveryScheme = RecoveryScheme.SELECTIVE,
         engine: Optional[str] = None,
-        stream: Optional[Sequence[StreamEntry]] = None,
+        stream: Optional[Stream] = None,
     ) -> None:
         super().__init__(trace, predictor, config, recovery, stream=stream)
         #: free FastDynInst objects (commit/squash return, fetch acquires)
@@ -163,8 +167,9 @@ class FastPipelineSimulator(PipelineSimulator):
         pool = self._pool
         iq_used = self.iq_used
         iq_cap = self._iq_cap
-        stream = self.stream
-        stream_len = len(stream)
+        entries = self.entries
+        stream_len = len(entries)
+        overlay = self.overlay
         memory = self.memory
         data_latency = memory.data_latency
         fetch_latency = memory.fetch_latency
@@ -260,7 +265,7 @@ class FastPipelineSimulator(PipelineSimulator):
                     entry = inst.entry
                     seq = entry.seq
                     # Train the predictor at writeback (once per instance).
-                    if entry.cand_source is not None:
+                    if overlay[seq] is not None:
                         record = entry.record
                         if record.result is not None and seq not in trained:
                             trained.add(seq)
@@ -427,7 +432,8 @@ class FastPipelineSimulator(PipelineSimulator):
                     # re-enters this inst into the candidates, where all
                     # operands are re-verified.
                     blocker = None
-                    if not unresolved and entry.cand_source is None:
+                    seq = entry.seq
+                    if not unresolved and overlay[seq] is None:
                         deps = entry.dep_seqs
                         inst.deps = deps
                         for dep in deps:
@@ -450,7 +456,6 @@ class FastPipelineSimulator(PipelineSimulator):
                                 break
                     iq_used[iq] += 1
                     inst.iq_released = False
-                    seq = entry.seq
                     window[seq] = inst
                     rob.append(inst)
                     rob_len += 1
@@ -476,7 +481,7 @@ class FastPipelineSimulator(PipelineSimulator):
                     front = cycle + front_depth
                     qlen = len(fq)
                     while fetched < fetch_width and qlen < queue_cap and cursor < stream_len:
-                        entry = stream[cursor]
+                        entry = entries[cursor]
                         record = entry.record
                         line = (record.pc * 8) >> l1i_shift
                         if line != last_line:
@@ -631,7 +636,7 @@ class FastPipelineSimulator(PipelineSimulator):
         # 3. fetch possible (not redirect-stalled, instructions left, room).
         if (
             self.fetch_stalled_on is None
-            and self.fetch_cursor < len(self.stream)
+            and self.fetch_cursor < len(self.entries)
             and len(self.fetch_queue) < self._fetch_queue_cap
         ):
             c = self.fetch_resume
@@ -718,7 +723,18 @@ class FastPipelineSimulator(PipelineSimulator):
     # ==================================================================
     # Recovery callbacks (shared _resolve/_try_resolve call into these)
     # ==================================================================
+    def _cancel_event(self, inst: FastDynInst) -> None:
+        """Withdraw an issued instruction's pending completion event."""
+        bucket = self.completions.get(inst.done_at)
+        if bucket is not None:
+            bucket.remove(inst)
+            if not bucket:
+                del self.completions[inst.done_at]
+        inst.done_at = -1
+
     def _reset_inst(self, inst: DynInst) -> None:
+        if inst.state == _ISSUED:
+            self._cancel_event(inst)
         # An ISSUED/DONE instruction is neither a candidate nor parked on a
         # producer (both are _WAIT-only states); returning it to _WAIT must
         # re-enter it into the candidate list.  A _WAIT instruction keeps
@@ -742,11 +758,8 @@ class FastPipelineSimulator(PipelineSimulator):
                 if not inst.iq_released:
                     self._release_iq(inst)
                 inst.gen += 1
-                # Invalidate pending completion events (the fast tier's
-                # event-validity cookie, standing in for the reference's
-                # gen check — an event in this very cycle's batch may not
-                # have been processed yet).
-                inst.done_at = -1
+                if inst.state == _ISSUED:
+                    self._cancel_event(inst)
                 del window[inst.seq]
                 unresolved.pop(inst.seq, None)
                 inst.dirty = True

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..isa.opcodes import OpKind
 from ..sim.trace import TraceRecord
@@ -39,7 +39,7 @@ from .cache import MemoryHierarchy
 from .config import MachineConfig
 from .recovery import RecoveryScheme
 from .stats import SimStats
-from .stream import StreamEntry, prepare_stream
+from .stream import CoreEntry, Stream, prepare_stream
 
 _WAIT, _ISSUED, _DONE = 0, 1, 2
 
@@ -89,7 +89,7 @@ class DynInst:
         "train",
     )
 
-    def __init__(self, entry: StreamEntry) -> None:
+    def __init__(self, entry: CoreEntry) -> None:
         self.entry = entry
         self.reset(fetch_cycle=0)
 
@@ -128,8 +128,10 @@ class PipelineSimulator:
 
     ``stream`` optionally supplies a pre-built :func:`prepare_stream` result
     (e.g. the :class:`~repro.core.session.SimSession` stream cache) so
-    campaign cells that share a (trace, predictor-fingerprint) pair prepare
-    the stream once; when given, ``trace`` is ignored.
+    campaign cells that share a trace share its core, and cells that share
+    a (trace, predictor-fingerprint) pair share the whole stream; when
+    given, ``trace`` is ignored.  Both engines read the predictor-specific
+    facts from the stream's overlay, indexed by seq.
     """
 
     #: resolved engine name of instances of this class
@@ -142,7 +144,7 @@ class PipelineSimulator:
         config: Optional[MachineConfig] = None,
         recovery: RecoveryScheme = RecoveryScheme.SELECTIVE,
         engine: Optional[str] = None,
-        stream: Optional[Sequence[StreamEntry]] = None,
+        stream: Optional[Stream] = None,
     ) -> "PipelineSimulator":
         if cls is PipelineSimulator and _resolve_engine(engine) == "fast":
             from .fast import FastPipelineSimulator
@@ -157,13 +159,15 @@ class PipelineSimulator:
         config: MachineConfig,
         recovery: RecoveryScheme = RecoveryScheme.SELECTIVE,
         engine: Optional[str] = None,
-        stream: Optional[Sequence[StreamEntry]] = None,
+        stream: Optional[Stream] = None,
     ) -> None:
         config.validate()
         self.config = config
         self.predictor = predictor
         self.recovery = recovery
         self.stream = stream if stream is not None else prepare_stream(trace, predictor)
+        self.entries = self.stream.core.entries
+        self.overlay = self.stream.overlay
         self.branch = BranchPredictor(config)
         self.memory = MemoryHierarchy(config.l1i, config.l1d, config.l2)
         self.stats = SimStats()
@@ -212,7 +216,7 @@ class PipelineSimulator:
             self._issue()
             self._dispatch()
             self._fetch()
-            if self.fetch_cursor >= len(self.stream) and not self.rob and not self.fetch_queue:
+            if self.fetch_cursor >= len(self.entries) and not self.rob and not self.fetch_queue:
                 # Trace truncated before a halt: pipeline has drained.
                 self.halted = True
         self.stats.cycles = self.cycle
@@ -260,7 +264,7 @@ class PipelineSimulator:
             # Train the predictor at writeback (once per dynamic instance).
             record = entry.record
             if inst.seq not in self._trained:
-                if entry.cand_source is not None and record.result is not None:
+                if self.overlay[inst.seq] is not None and record.result is not None:
                     self._trained.add(inst.seq)
                     if record.is_load and hasattr(self.predictor, "update_load"):
                         self.predictor.update_load(entry.pc, record.addr, record.result)
@@ -519,11 +523,10 @@ class PipelineSimulator:
 
         # ---- value prediction decision ----
         used_port = False
-        source = entry.cand_source
-        if source is not None and entry.record.result is not None:
-            inst.train = entry.pred_correct
+        slot = self.overlay[inst.seq]
+        if slot is not None and entry.record.result is not None:
+            source, value_dep, prev_instance, inst.train, needs_port = slot
             predictable = self.predictor.confident(entry.pc)
-            value_dep = entry.value_dep
             stored_ok = True
             if source.kind is SourceKind.STORED:
                 if getattr(self.predictor, "table_backed", False):
@@ -532,11 +535,10 @@ class PipelineSimulator:
                     inst.train = stored_ok and stored == entry.record.result
                     value_dep = None
                 else:
-                    stored_ok = entry.prev_instance is not None
-                    value_dep = entry.prev_instance
+                    stored_ok = prev_instance is not None
+                    value_dep = prev_instance
             # Buffer-based predictors read no register for the prediction;
             # register-based prediction of a non-load needs an extra port.
-            needs_port = not entry.record.is_load and not getattr(self.predictor, "table_backed", False)
             if predictable and stored_ok and (not needs_port or port_available):
                 inst.predicted = True
                 inst.resolved = False
@@ -579,7 +581,7 @@ class PipelineSimulator:
         if self.cycle < self.fetch_resume or self.fetch_stalled_on is not None:
             self.stats.fetch_stall_cycles += 1
             return
-        if self.fetch_cursor >= len(self.stream):
+        if self.fetch_cursor >= len(self.entries):
             return
         fetched = 0
         blocks_left = self.config.fetch_blocks
@@ -587,9 +589,9 @@ class PipelineSimulator:
         while (
             fetched < self.config.fetch_width
             and len(self.fetch_queue) < self._fetch_queue_cap
-            and self.fetch_cursor < len(self.stream)
+            and self.fetch_cursor < len(self.entries)
         ):
-            entry = self.stream[self.fetch_cursor]
+            entry = self.entries[self.fetch_cursor]
             line = entry.pc * 8 // self.config.l1i.line_bytes
             if line != last_line:
                 latency = self.memory.fetch_latency(entry.pc, self.cycle)
@@ -673,7 +675,7 @@ def simulate(
     recovery: RecoveryScheme = RecoveryScheme.SELECTIVE,
     max_cycles: int = 5_000_000,
     engine: Optional[str] = None,
-    stream: Optional[Sequence[StreamEntry]] = None,
+    stream: Optional[Stream] = None,
 ) -> SimStats:
     """Convenience wrapper: build a pipeline and run it to completion.
 

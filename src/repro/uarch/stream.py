@@ -4,13 +4,18 @@ The pipeline is execution-driven off the functional simulator's committed
 trace.  Because register renaming always routes a consumer to the correct
 prior writer (the paper's "no stale values" property, Section 1), every
 *architectural* quantity the pipeline needs is a pure function of the dynamic
-instruction sequence and can be computed in one pass:
+instruction sequence and can be computed in one pass.  A prepared
+:class:`Stream` splits those facts by what they depend on:
 
-* per-operand producer (the last older writer of the register),
-* the destination's previous writer (RVP's prediction source),
-* the last store to a load's address (memory dependence),
-* whether a would-be prediction is correct, for each predictor source kind —
-  same-register, correlated-register (dead/live hint), or previous-instance
+* the **core** (:class:`StreamCore`) depends on the trace alone: per-operand
+  producers (the last older writer of each register), the destination's
+  previous writer, the last store to a load's address, and the pre-decoded
+  per-pc timing facts.  One core serves every predictor run on its trace.
+* the **overlay** depends on the predictor's ``source()`` routing as well: a
+  list aligned to the core holding ``None`` for non-candidates and an
+  :data:`OverlaySlot` for candidates — where a would-be prediction's value
+  comes from and whether it would be correct, for each source kind:
+  same-register, correlated-register (dead/live hint) or previous-instance
   (the idealised last-value-reallocation model).
 
 Only *timing* and predictor state (confidence counters, LVP table contents)
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..isa.instructions import Instruction
 from ..isa.opcodes import FuClass, OpKind
 from ..profiling.deadness import reg_id
 from ..sim.functional import BudgetExceeded
@@ -30,11 +36,13 @@ from ..vp.base import PredictionSource, SourceKind, ValuePredictor
 
 
 @dataclass(slots=True)
-class StreamEntry:
+class CoreEntry:
     """One correct-path dynamic instruction with precomputed dependences.
 
     Like :class:`~repro.sim.trace.TraceRecord`, this is a per-dynamic-
     instruction record held for a whole pipeline run — slotted for footprint.
+    The flat booleans are pre-decoded per-pc timing facts: the fast timing
+    tier's hot path reads them instead of chasing ``record.inst.op.*``.
     """
 
     seq: int
@@ -45,32 +53,16 @@ class StreamEntry:
     src_deps: Tuple[Optional[int], ...]
     store_dep: Optional[int]
     dst_old_writer: Optional[int]
-    #: prediction source for this pc (None = not a candidate)
-    cand_source: Optional[PredictionSource]
-    #: producer of the prediction value (for DST/REG sources)
-    value_dep: Optional[int]
-    #: previous dynamic instance of this pc (for ideal-LVR STORED sources)
-    prev_instance: Optional[int]
-    #: would a DST/REG/ideal-STORED prediction be correct here?
-    pred_correct: bool
-    # ------------------------------------------------------------------
-    # Pre-decoded per-pc timing facts (the fast timing tier's hot path
-    # reads these flat booleans instead of chasing record.inst.op.* every
-    # fetch/issue/commit; the reference tier ignores them).
-    # ------------------------------------------------------------------
-    is_load: bool = False
-    is_store: bool = False
-    is_halt: bool = False
-    is_control: bool = False
+    is_load: bool
+    is_store: bool
+    is_halt: bool
+    is_control: bool
     #: conditional branch (OpKind.BRANCH): fetch reads the recorded outcome
-    cond_branch: bool = False
-    #: a prediction here would consume an extra register read port
-    #: (register-sourced prediction of a non-load; see Section 6)
-    needs_port: bool = False
+    cond_branch: bool
     #: flattened producer seqs (non-None src_deps + store_dep): exactly the
     #: dependence list speculation-free rename produces, pre-built so the
     #: fast tier can alias it without a per-instruction list build
-    dep_seqs: Tuple[int, ...] = ()
+    dep_seqs: Tuple[int, ...]
 
     @property
     def pc(self) -> int:
@@ -79,6 +71,52 @@ class StreamEntry:
     @property
     def inst(self):
         return self.record.inst
+
+
+#: A candidate's overlay slot: ``(source, value_dep, prev_instance,
+#: pred_correct, needs_port)`` — the prediction source; the producer of the
+#: prediction value (DST/REG sources); the previous dynamic instance of the
+#: pc (ideal-LVR STORED sources); whether a DST/REG/ideal-STORED prediction
+#: would be correct; and whether a prediction would consume an extra register
+#: read port (register-sourced prediction of a non-load; see Section 6).
+OverlaySlot = Tuple[PredictionSource, Optional[int], Optional[int], bool, bool]
+
+
+class StreamCore:
+    """The predictor-free part of a prepared stream, shared by every
+    predictor run on one trace.
+
+    ``insts`` maps each pc to its instruction in first-occurrence trace
+    order, so an overlay pass can query ``source()`` once per pc in exactly
+    the order a single forward pass would.
+    """
+
+    __slots__ = ("entries", "insts")
+
+    def __init__(self, entries: List[CoreEntry], insts: Dict[int, Instruction]) -> None:
+        self.entries = entries
+        self.insts = insts
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+class Stream:
+    """One predictor's prepared stream: a shared core plus its overlay.
+
+    ``overlay[i]`` belongs to ``core.entries[i]`` (whose ``seq`` is ``i``);
+    ``candidates`` counts its non-``None`` slots.
+    """
+
+    __slots__ = ("core", "overlay", "candidates")
+
+    def __init__(self, core: StreamCore, overlay: List[Optional[OverlaySlot]], candidates: int) -> None:
+        self.core = core
+        self.overlay = overlay
+        self.candidates = candidates
+
+    def __len__(self) -> int:
+        return len(self.core.entries)
 
 
 def _fu_of(record: TraceRecord) -> Tuple[str, str]:
@@ -91,11 +129,17 @@ def _fu_of(record: TraceRecord) -> Tuple[str, str]:
 
 
 def prepare_stream(
-    trace: Iterable[TraceRecord],
+    trace: Optional[Iterable[TraceRecord]],
     predictor: ValuePredictor,
+    *,
+    core: Optional[StreamCore] = None,
     max_entries: Optional[int] = None,
-) -> List[StreamEntry]:
+) -> Stream:
     """Precompute the pipeline stream for one trace + predictor combination.
+
+    Builds the trace's :class:`StreamCore` — unless ``core`` supplies one
+    already built from the same trace, in which case ``trace`` is unused —
+    and then the predictor's overlay over it.
 
     ``trace`` may be any iterable of records — a cached tuple or a live
     :meth:`~repro.sim.functional.FunctionalSimulator.iter_run` generator; it
@@ -105,22 +149,31 @@ def prepare_stream(
     streaming case: when the (possibly unbounded) source yields more records
     than the budget, :class:`~repro.sim.functional.BudgetExceeded` is raised
     instead of materializing an arbitrarily large stream.
+    """
+    if core is None:
+        core = _build_core(trace, max_entries)
+    elif max_entries is not None and len(core) > max_entries:
+        raise BudgetExceeded(f"stream budget exhausted: core holds more than {max_entries} records")
+    overlay, candidates = _build_overlay(core, predictor)
+    return Stream(core, overlay, candidates)
+
+
+def _build_core(trace: Iterable[TraceRecord], max_entries: Optional[int]) -> StreamCore:
+    """The predictor-free pass: dependences and pre-decoded timing facts.
 
     Everything that is a pure function of the *static* instruction — FU/IQ
     classification, operand register ids, the destination id, the opcode
-    latency, the predictor's prediction source — is computed once per pc and
-    memoized, so the per-record loop touches only the dynamic mirrors.
+    latency — is computed once per pc and memoized, so the per-record loop
+    touches only the dynamic mirrors.
     """
-    entries: List[StreamEntry] = []
+    entries: List[CoreEntry] = []
     append = entries.append
+    insts: Dict[int, Instruction] = {}
     last_writer: Dict[int, int] = {}
     last_store: Dict[int, int] = {}
     lw_get = last_writer.get
-    reg_values: List[int] = [0] * 64
-    last_result_of_pc: Dict[int, Tuple[int, int]] = {}  # pc -> (seq, result)
-    #: pc -> (fu, iq, latency, read_ids, is_load, is_store, dst, dst_id,
-    #:        source, source_reg_id, is_halt, is_control, cond_branch,
-    #:        needs_port) — the static facts of one instruction.
+    #: pc -> (fu, iq, latency, read_ids, is_load, is_store, dst_id, is_halt,
+    #:        is_control, cond_branch) — the static facts of one instruction.
     static_cache: Dict[int, Tuple] = {}
 
     for record in trace:
@@ -129,89 +182,119 @@ def prepare_stream(
                 f"stream budget exhausted: trace yielded more than {max_entries} "
                 f"records (next pc {record.pc})"
             )
-        inst = record.inst
         seq = record.seq
         pc = record.pc
         static = static_cache.get(pc)
         if static is None:
+            inst = insts[pc] = record.inst
             fu, iq = _fu_of(record)
             read_ids = tuple(None if src.is_zero else reg_id(src) for src in inst.reads)
             dst = inst.writes
-            dst_id = reg_id(dst) if dst is not None else None
-            source = predictor.source(inst)
-            source_reg_id = (
-                reg_id(source.reg) if source is not None and source.kind is SourceKind.REG else None
-            )
-            needs_port = (
-                source is not None
-                and not inst.op.is_load
-                and not getattr(predictor, "table_backed", False)
-            )
             static = static_cache[pc] = (
-                fu, iq, inst.op.latency, read_ids,
-                inst.op.is_load, inst.op.is_store, dst, dst_id, source, source_reg_id,
-                inst.is_halt, inst.is_control, inst.op.kind is OpKind.BRANCH, needs_port,
+                fu, iq, inst.op.latency, read_ids, inst.op.is_load, inst.op.is_store,
+                reg_id(dst) if dst is not None else None,
+                inst.is_halt, inst.is_control, inst.op.kind is OpKind.BRANCH,
             )
-        (
-            fu, iq, latency, read_ids, is_load, is_store, dst, dst_id, source, source_reg_id,
-            is_halt, is_control, cond_branch, needs_port,
-        ) = static
+        fu, iq, latency, read_ids, is_load, is_store, dst_id, is_halt, is_control, cond_branch = static
 
         deps = tuple(lw_get(rid) if rid is not None else None for rid in read_ids)
         addr = record.addr
         store_dep = last_store.get(addr) if is_load and addr is not None else None
-        dep_seqs = tuple(d for d in deps if d is not None)
+        if None in deps:
+            dep_seqs = tuple(d for d in deps if d is not None)
+        else:
+            dep_seqs = deps  # share the tuple: no None to drop
         if store_dep is not None:
             dep_seqs += (store_dep,)
-        dst_old_writer = lw_get(dst_id) if dst_id is not None else None
-
-        result = record.result
-        value_dep: Optional[int] = None
-        prev_instance: Optional[int] = None
-        pred_correct = False
-        if source is not None and result is not None:
-            if source.kind is SourceKind.DST:
-                value_dep = dst_old_writer
-                pred_correct = result == record.old_dest
-            elif source.kind is SourceKind.REG:
-                value_dep = lw_get(source_reg_id)
-                pred_correct = result == reg_values[source_reg_id]
-            else:  # STORED
-                prev = last_result_of_pc.get(pc)
-                if prev is not None:
-                    prev_instance = prev[0]
-                    pred_correct = result == prev[1]
 
         append(
-            StreamEntry(
-                seq=seq,
-                record=record,
-                fu=fu,
-                iq=iq,
-                base_latency=latency,
-                src_deps=deps,
-                store_dep=store_dep,
-                dst_old_writer=dst_old_writer,
-                cand_source=source,
-                value_dep=value_dep,
-                prev_instance=prev_instance,
-                pred_correct=pred_correct,
-                is_load=is_load,
-                is_store=is_store,
-                is_halt=is_halt,
-                is_control=is_control,
-                cond_branch=cond_branch,
-                needs_port=needs_port,
-                dep_seqs=dep_seqs,
+            CoreEntry(
+                seq, record, fu, iq, latency, deps, store_dep,
+                lw_get(dst_id) if dst_id is not None else None,
+                is_load, is_store, is_halt, is_control, cond_branch, dep_seqs,
             )
         )
 
         # Advance the mirrors.
-        if result is not None:
-            if dst_id is not None:
-                last_writer[dst_id] = seq
-                reg_values[dst_id] = result
-            last_result_of_pc[pc] = (seq, result)
+        if dst_id is not None and record.result is not None:
+            last_writer[dst_id] = seq
         if is_store and addr is not None:
             last_store[addr] = seq
-    return entries
+    return StreamCore(entries, insts)
+
+
+def _build_overlay(
+    core: StreamCore, predictor: ValuePredictor
+) -> Tuple[List[Optional[OverlaySlot]], int]:
+    """The predictor pass over a core: ``(overlay, candidate count)``.
+
+    ``source()`` is queried once per pc, in first-occurrence trace order.
+    The pass replays only the mirrors the predictor's sources read: the
+    register file (last writer and value per register) for REG sources, and
+    each STORED pc's previous result.  DST sources read the core's
+    ``dst_old_writer`` and the record's ``old_dest``.
+    """
+    entries = core.entries
+    overlay: List[Optional[OverlaySlot]] = [None] * len(entries)
+    table_backed = getattr(predictor, "table_backed", False)
+    #: pc -> (source, kind, source register id, needs_port, no-result slot)
+    plan: Dict[int, Tuple] = {}
+    replay_regs = False
+    for pc, inst in core.insts.items():
+        source = predictor.source(inst)
+        if source is None:
+            continue
+        kind = source.kind
+        needs_port = not inst.op.is_load and not table_backed
+        source_reg_id = None
+        if kind is SourceKind.REG:
+            source_reg_id = reg_id(source.reg)
+            replay_regs = True
+        plan[pc] = (source, kind, source_reg_id, needs_port, (source, None, None, False, needs_port))
+    if not plan:
+        return overlay, 0
+
+    dst_of: Dict[int, int] = {}
+    if replay_regs:
+        dst_of = {
+            pc: reg_id(inst.writes) for pc, inst in core.insts.items() if inst.writes is not None
+        }
+    dst_get = dst_of.get
+    last_writer: Dict[int, int] = {}
+    reg_values: List[int] = [0] * 64
+    last_result_of_pc: Dict[int, Tuple[int, int]] = {}  # STORED pcs: pc -> (seq, result)
+    plan_get = plan.get
+    DST, REG = SourceKind.DST, SourceKind.REG
+    candidates = 0
+    for index, entry in enumerate(entries):
+        record = entry.record
+        result = record.result
+        step = plan_get(record.pc)
+        if step is not None:
+            candidates += 1
+            source, kind, source_reg_id, needs_port, no_result = step
+            if result is None:
+                overlay[index] = no_result
+            elif kind is DST:
+                overlay[index] = (
+                    source, entry.dst_old_writer, None, result == record.old_dest, needs_port
+                )
+            elif kind is REG:
+                overlay[index] = (
+                    source, last_writer.get(source_reg_id), None,
+                    result == reg_values[source_reg_id], needs_port,
+                )
+            else:  # STORED
+                pc = record.pc
+                prev = last_result_of_pc.get(pc)
+                if prev is None:
+                    overlay[index] = no_result
+                else:
+                    overlay[index] = (source, None, prev[0], result == prev[1], needs_port)
+                last_result_of_pc[pc] = (entry.seq, result)
+        if replay_regs and result is not None:
+            dst_id = dst_get(record.pc)
+            if dst_id is not None:
+                last_writer[dst_id] = entry.seq
+                reg_values[dst_id] = result
+    return overlay, candidates

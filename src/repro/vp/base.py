@@ -60,12 +60,15 @@ class ValuePredictor(abc.ABC):
 
     def static_fingerprint(self) -> Optional[Hashable]:
         """Hashable key identifying everything :meth:`source` (and
-        ``table_backed``) depend on, so a prepared pipeline stream — a pure
-        function of (trace, those two) — can be cached and shared across
-        predictor instances.  Two predictors with equal fingerprints MUST
-        yield identical ``source()`` results for every instruction of every
-        trace.  ``None`` (the default) means "not cacheable": the stream is
-        rebuilt per run (e.g. when ``source()`` mutates predictor state)."""
+        ``table_backed``) depend on, so a stream overlay — a pure function
+        of (trace, those two) — can be cached and shared across predictor
+        instances.  It keys the overlay only: a stream's predictor-free core
+        is shared by every predictor on the trace whatever its fingerprint.
+        Two predictors with equal fingerprints MUST yield identical
+        ``source()`` results for every instruction of every trace.  ``None``
+        (the default) means "not cacheable": the overlay is rebuilt per run
+        over the shared core (e.g. when ``source()`` mutates predictor
+        state)."""
         return None
 
     @abc.abstractmethod

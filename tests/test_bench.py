@@ -84,6 +84,18 @@ def test_compare_reports_metrics_absent_from_baseline_as_missing():
     assert report["fast_minstr_s_geomean"]["status"] == "ok"
 
 
+def test_stream_series_gate_once_a_baseline_carries_them():
+    metrics = ("stream_core_kentries_s_geomean", "stream_overlay_kentries_s_geomean")
+    current = _payload(1.0, 1.0, 1.0)
+    current["summary"].update({metric: 100.0 for metric in metrics})
+    report = {e["metric"]: e for e in compare_benchmarks(current, _payload(1.0, 1.0, 1.0))}
+    assert all(report[metric]["status"] == "missing" for metric in metrics)
+    baseline = _payload(1.0, 1.0, 1.0)
+    baseline["summary"].update({metric: 200.0 for metric in metrics})
+    report = {e["metric"]: e for e in compare_benchmarks(current, baseline)}
+    assert all(report[metric]["status"] == "fail" for metric in metrics)
+
+
 def test_compare_custom_thresholds():
     baseline = _payload(10.0, 10.0, 10.0)
     current = _payload(8.0, 8.0, 8.0)  # uniform -20%
@@ -136,6 +148,11 @@ def test_run_benchmarks_payload_shape():
     assert engines["lane_instructions"] == 2 * engines["instructions"]
     assert engines["batched_minstr_s_per_lane"] > 0
     assert payload["results"]["pipeline"]["li"]["cycles"] > 0
+    stream = payload["results"]["stream"]["li"]
+    assert stream["entries"] == 300
+    assert stream["core_kentries_s"] > 0 and stream["overlay_kentries_s"] > 0
+    assert payload["summary"]["stream_core_kentries_s_geomean"] > 0
+    assert payload["summary"]["stream_overlay_kentries_s_geomean"] > 0
     session = payload["results"]["session"]["li"]
     assert session["warm_s"] <= session["cold_s"]
     assert payload["summary"]["fast_speedup_geomean"] > 0

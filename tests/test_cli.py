@@ -326,3 +326,18 @@ def test_fuzz_command_rejects_unknown_oracle():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["fuzz", "--oracle", "nonsense"])
+
+
+@pytest.mark.parametrize("command", ["suite", "run"])
+@pytest.mark.parametrize("flag, value", [("--store", None), ("--workers", "2"), ("--lease", "5")])
+def test_campaign_flags_without_out_dir_are_errors(capsys, tmp_path, command, flag, value):
+    # Without --out-dir these flags used to be silently ignored.
+    value = value or str(tmp_path / "store")
+    argv = [command, "--config", "no_predict", "--max-insts", "1500", flag, value]
+    if command == "run":
+        argv += ["--workload", "go"]
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 2
+    assert f"{flag} requires --out-dir" in err
+    assert out == ""
+    assert not (tmp_path / "store").exists()

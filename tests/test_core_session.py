@@ -121,6 +121,83 @@ def test_trace_cache_lru_eviction():
 
 
 # ----------------------------------------------------------------------
+# Stream cache: one core per trace, one overlay per fingerprint
+# ----------------------------------------------------------------------
+def test_stream_cache_shares_core_and_overlays():
+    session = SimSession()
+    runner = ExperimentRunner("m88ksim", max_instructions=MAX_INSTS, session=session)
+    drvp, _ = runner.pipeline_stream("drvp")
+    lvp, _ = runner.pipeline_stream("lvp_all")
+    assert lvp.core is drvp.core
+    assert runner.pipeline_stream("drvp")[0] is drvp  # same fingerprint: a hit
+    # Uncacheable (fingerprint None): the cached core, a fresh overlay each call.
+    grp, _ = runner.pipeline_stream("grp_all")
+    grp_again, _ = runner.pipeline_stream("grp_all")
+    assert grp.core is drvp.core and grp_again.core is drvp.core
+    assert grp_again is not grp and grp_again.overlay == grp.overlay
+    stats = session.cache_stats()
+    assert stats["stream_cores"] == 1 and stats["streams"] == 2
+    assert stats["stream_bytes"] == (
+        session._core_cost(drvp.core) + session._overlay_cost(drvp) + session._overlay_cost(lvp)
+    )
+
+
+def test_stream_cache_evicts_core_with_its_overlays():
+    probe = SimSession()
+    probe_stream, _ = ExperimentRunner("go", max_instructions=MAX_INSTS, session=probe).pipeline_stream("drvp")
+    one_trace = probe._trace_cost(probe._traces[next(iter(probe._traces))])
+    # Room for both traces but only one trace's streams.
+    session = SimSession(trace_bytes=2 * one_trace + 2 * probe.cache_stats()["stream_bytes"] - 1)
+    metrics = get_metrics()
+    evictions0 = metrics.get("session.stream.evictions")
+    go = ExperimentRunner("go", max_instructions=MAX_INSTS, session=session)
+    go.pipeline_stream("drvp")
+    go.pipeline_stream("drvp_all")
+    ExperimentRunner("li", max_instructions=MAX_INSTS, session=session).pipeline_stream("drvp")
+    assert metrics.get("session.stream.evictions") - evictions0 == 1
+    stats = session.cache_stats()
+    assert stats["stream_cores"] == 1 and stats["streams"] == 1  # go's core and both overlays left together
+    (li_entry,) = session._streams.values()
+    assert stats["stream_bytes"] == li_entry.bytes
+
+
+def test_stream_byte_estimates_match_tracemalloc():
+    """Each byte constant is within 25% of what a real core and overlay
+    allocate, so the shared trace/stream ceiling is honest."""
+    import gc
+    import tracemalloc
+
+    from repro.core.session import CORE_ENTRY_BYTES, OVERLAY_CANDIDATE_BYTES, OVERLAY_SLOT_BYTES
+    from repro.uarch.stream import prepare_stream
+
+    runner = ExperimentRunner("su2cor", max_instructions=MAX_INSTS, session=SimSession())
+    trace = runner.ref_trace("base")
+    predictors = [runner._build(config, None)[1] for config in ("no_predict", "drvp_all_dead_lv")]
+    gc.collect()
+    # Empty CPython's small-tuple free lists (2000 per size) so that every
+    # tuple the builders make is a fresh, traced allocation.
+    reserve = [tuple(range(size)) for size in range(1, 8) for _ in range(2_100)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        empty = prepare_stream(trace, predictors[0])  # core + an all-None overlay
+        after_core = tracemalloc.get_traced_memory()[0]
+        bare = prepare_stream(None, predictors[0], core=empty.core)  # slots only
+        after_slots = tracemalloc.get_traced_memory()[0]
+        full = prepare_stream(None, predictors[1], core=empty.core)
+        after_overlay = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert reserve and bare.candidates == 0 and full.candidates > len(full) // 2
+    slot_bytes = after_slots - after_core
+    core_bytes = after_core - before - slot_bytes
+    candidate_bytes = after_overlay - after_slots - slot_bytes
+    assert slot_bytes / len(bare) == pytest.approx(OVERLAY_SLOT_BYTES, rel=0.25)
+    assert core_bytes / len(empty) == pytest.approx(CORE_ENTRY_BYTES, rel=0.25)
+    assert candidate_bytes / full.candidates == pytest.approx(OVERLAY_CANDIDATE_BYTES, rel=0.25)
+
+
+# ----------------------------------------------------------------------
 # Parallel suite runner
 # ----------------------------------------------------------------------
 SUITE_KW = dict(

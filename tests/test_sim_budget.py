@@ -165,3 +165,8 @@ def test_prepare_stream_entry_cap():
     assert len(prepare_stream(trace, NoPredictor(), max_entries=len(trace))) == len(trace)
     with pytest.raises(BudgetExceeded, match="stream budget exhausted"):
         prepare_stream(trace, NoPredictor(), max_entries=len(trace) - 1)
+    # The cap holds for an overlay over a shared core too.
+    core = prepare_stream(trace, NoPredictor()).core
+    assert len(prepare_stream(None, NoPredictor(), core=core, max_entries=len(trace))) == len(trace)
+    with pytest.raises(BudgetExceeded, match="stream budget exhausted"):
+        prepare_stream(None, NoPredictor(), core=core, max_entries=len(trace) - 1)

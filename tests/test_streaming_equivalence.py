@@ -159,10 +159,12 @@ def test_pipeline_accepts_generator_trace():
 
     # prepare_stream over a generator with a stateful predictor too.
     _, stream2 = stream_program(workload.program, memory=workload.memory("ref"), max_instructions=BUDGET)
-    entries = prepare_stream(stream2, DynamicRVP(loads_only=False))
-    eager_entries = prepare_stream(eager_trace, DynamicRVP(loads_only=False))
-    assert len(entries) == len(eager_entries)
-    assert [e.pred_correct for e in entries] == [e.pred_correct for e in eager_entries]
+    streamed = prepare_stream(stream2, DynamicRVP(loads_only=False))
+    eager = prepare_stream(eager_trace, DynamicRVP(loads_only=False))
+    assert len(streamed) == len(eager)
+    assert [slot and slot[3] for slot in streamed.overlay] == [slot and slot[3] for slot in eager.overlay]
+    assert streamed.core.entries == eager.core.entries
+    assert streamed.overlay == eager.overlay
 
 
 def test_observers_fire_during_streaming():

@@ -107,13 +107,13 @@ def test_completion_events_drain_in_cycle_order(tiny_loop_program, tiny_loop_mem
 def test_next_active_cycle_cleans_stale_heap_keys(tiny_loop_program, tiny_loop_memory):
     trace = trace_of(tiny_loop_program, tiny_loop_memory)
     sim = _fast_sim(trace)
-    inst = FastDynInst(sim.stream[0])
+    inst = FastDynInst(sim.entries[0])
     inst.state = _ISSUED
     inst.done_at = 12
     sim.completions[12] = [inst]
     for key in (5, 7, 12):  # 5 and 7 are stale: not in completions
         heapq.heappush(sim._comp_heap, key)
-    sim.fetch_cursor = len(sim.stream)  # disable the fetch wake source
+    sim.fetch_cursor = len(sim.entries)  # disable the fetch wake source
     assert sim._next_active_cycle(max_cycles=1_000) == 12
     assert sim._comp_heap[0] == 12, "stale keys are popped during the scan"
 
@@ -148,14 +148,37 @@ def test_squash_invalidates_pending_events(squashy_trace):
                 assert id(inst) in live
 
 
+def test_squash_and_reset_withdraw_pending_events():
+    # Regression: a squashed instruction used to leave its completion event
+    # queued.  Once recycled from the pool and re-issued to complete in that
+    # same cycle, it completed at the stale event's earlier position in the
+    # bucket, which reordered predictor training and prediction resolution
+    # against the reference (hydro2d/lvp_all and mgrid/drvp_all diverged
+    # under REFETCH).
+    for workload, config in (("hydro2d", "lvp_all"), ("mgrid", "drvp_all")):
+        runner = ExperimentRunner(workload, max_instructions=3_000, session=SESSION)
+        variant, _ = runner._build(config, None)
+        trace = runner.ref_trace(variant)
+        for scheme in RecoveryScheme:
+            reference = simulate(
+                trace, runner._build(config, None)[1], runner.machine, scheme, engine="reference"
+            )
+            sim = FastPipelineSimulator(trace, runner._build(config, None)[1], runner.machine, scheme)
+            assert sim.run().counters() == reference.counters(), f"{workload}/{config}/{scheme.value}"
+            # Every event still queued belongs to a live issued incarnation.
+            for key, batch in sim.completions.items():
+                for inst in batch:
+                    assert inst.state == _ISSUED and inst.done_at == key
+
+
 # ----------------------------------------------------------------------
 # FastDynInst pool reset hygiene
 # ----------------------------------------------------------------------
 def test_reset_restores_wakeup_defaults(tiny_loop_program, tiny_loop_memory):
     trace = trace_of(tiny_loop_program, tiny_loop_memory)
     sim = _fast_sim(trace)
-    inst = FastDynInst(sim.stream[0])
-    other = FastDynInst(sim.stream[1])
+    inst = FastDynInst(sim.entries[0])
+    other = FastDynInst(sim.entries[1])
     inst.waiters.append(other)
     inst.in_cand = True
     inst.done_at = 42
