@@ -18,7 +18,9 @@
   both timing tiers: the reference per-cycle loop measured cold (stream
   preparation included, series-continuous with pre-fast-tier baselines) and
   the event-driven fast tier measured over a pre-built stream — the way
-  campaign cells run it through the SimSession stream cache.
+  campaign cells run it through the SimSession stream cache — once without
+  prediction and once under ``drvp_all``, whose in-flight predictions send
+  rename down the speculative path.
 * **stream** — stream preparation throughput (thousand entries per second)
   for each half of :func:`~repro.uarch.stream.prepare_stream`: the
   predictor-free core, built once per trace, and a predictor's overlay over
@@ -78,6 +80,9 @@ REGRESSION_METRICS = (
     "batched_minstr_s_per_lane_geomean",
     "stream_core_kentries_s_geomean",
     "stream_overlay_kentries_s_geomean",
+    # The fast tier under a speculating predictor (drvp_all, selective
+    # recovery); arms with the first baseline that carries it.
+    "pipeline_fast_spec_cycles_per_s_geomean",
 )
 
 #: Workloads used by ``--quick`` (one SPECint, one SPECfp).
@@ -208,14 +213,18 @@ def _bench_engines(name: str, max_insts: int, repeats: int, lanes: int) -> Dict[
 
 
 def _bench_pipeline(name: str, max_insts: int, repeats: int) -> Dict[str, float]:
-    """Cycle-engine throughput over a materialized trace (no-predict baseline).
+    """Cycle-engine throughput over a materialized trace.
 
-    ``cycles_per_s`` is the reference tier measured cold (stream preparation
-    inside the timed region, exactly how pre-fast-tier baselines measured
-    it); ``fast_cycles_per_s`` is the event-driven tier over a pre-built
-    stream — what a campaign cell pays after the SimSession stream cache has
-    warmed.  The two runs must produce identical stats, so the bench itself
-    is a cheap differential gate.
+    ``cycles_per_s`` is the reference tier measured cold under the
+    no-predict baseline (stream preparation inside the timed region, exactly
+    how pre-fast-tier baselines measured it); ``fast_cycles_per_s`` is the
+    event-driven tier over a pre-built stream — what a campaign cell pays
+    after the SimSession stream cache has warmed.  ``fast_spec_cycles_per_s``
+    is the fast tier under ``drvp_all`` with selective recovery, which keeps
+    predictions in flight, so it times the speculative rename and resolution
+    paths the no-predict run never takes.  Each pair of runs must produce
+    identical stats on both tiers, so the bench itself is a cheap
+    differential gate.
     """
     workload = make_workload(name)
     program, memory = workload.build("ref")
@@ -240,6 +249,21 @@ def _bench_pipeline(name: str, max_insts: int, repeats: int) -> Dict[str, float]
         ),
         repeats,
     )
+
+    # drvp_all's overlay over the same core; the predictor is stateful, so
+    # every run gets a fresh one.
+    spec_stream = prepare_stream(None, DynamicRVP(loads_only=False), core=stream.core)
+
+    def run_spec(engine: str):
+        return simulate(
+            None, DynamicRVP(loads_only=False), config, RecoveryScheme.SELECTIVE,
+            engine=engine, stream=spec_stream,
+        )
+
+    spec_stats = run_spec("fast")
+    if spec_stats != run_spec("reference"):
+        raise RuntimeError(f"fast/reference speculative stats diverged on {name}")
+    spec_seconds = _best_time(lambda: run_spec("fast"), repeats)
     rate = stats.cycles / seconds if seconds > 0 else 0.0
     fast_rate = stats.cycles / fast_seconds if fast_seconds > 0 else 0.0
     return {
@@ -249,6 +273,10 @@ def _bench_pipeline(name: str, max_insts: int, repeats: int) -> Dict[str, float]
         "fast_cycles_per_s": fast_rate,
         "fast_wall_s": fast_seconds,
         "fast_speedup": fast_rate / rate if rate else 0.0,
+        "spec_cycles": spec_stats.cycles,
+        "spec_predictions": spec_stats.predictions,
+        "fast_spec_cycles_per_s": spec_stats.cycles / spec_seconds if spec_seconds > 0 else 0.0,
+        "fast_spec_wall_s": spec_seconds,
     }
 
 
@@ -400,6 +428,9 @@ def run_benchmarks(
             [r["fast_cycles_per_s"] for r in pipeline.values()]
         ),
         "pipeline_fast_speedup_geomean": _geomean([r["fast_speedup"] for r in pipeline.values()]),
+        "pipeline_fast_spec_cycles_per_s_geomean": _geomean(
+            [r["fast_spec_cycles_per_s"] for r in pipeline.values()]
+        ),
         "stream_core_kentries_s_geomean": _geomean([r["core_kentries_s"] for r in stream.values()]),
         "stream_overlay_kentries_s_geomean": _geomean(
             [r["overlay_kentries_s"] for r in stream.values()]

@@ -1087,7 +1087,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"({config.lanes} lanes)")
         print(f"pipeline: reference {summary['pipeline_cycles_per_s_geomean']:,.0f} cycles/s, "
               f"fast {summary['pipeline_fast_cycles_per_s_geomean']:,.0f} cycles/s "
-              f"({summary['pipeline_fast_speedup_geomean']:.1f}x)")
+              f"({summary['pipeline_fast_speedup_geomean']:.1f}x), "
+              f"fast drvp_all {summary['pipeline_fast_spec_cycles_per_s_geomean']:,.0f} cycles/s")
         for name, result in payload["results"]["session"].items():
             print(f"session:  {name} cold {result['cold_s'] * 1e3:.1f} ms, "
                   f"warm {result['warm_s'] * 1e6:.0f} us")

@@ -56,24 +56,28 @@ processed: it would complete the recycled or re-issued instruction at its
 old position in the bucket, and the order of completions within a cycle
 decides the order of predictor training and prediction resolution;
 (2) an instruction that never touched speculative
-state (renamed on the fast path below, committed normally) is returned to
-the pool with every other field already at its post-reset default, so
-acquire only rewrites the handful of fields the plain lifecycle dirties —
-the ``dirty`` flag marks the exceptions (full rename, squash victims) that
-need a complete reset.
+state is returned to the pool with every other field already at its
+post-reset default, so acquire only rewrites the handful of fields the
+plain lifecycle changes.  The ``dirty`` flag marks the exceptions that need
+a complete reset: an instruction that was predicted, renamed onto a
+non-empty ``spec_on`` (the only way to get ``dep_fix`` entries or a place on
+a ``spec_consumers`` list), was left with ``train=True`` by the prediction
+decision, or was squashed.  Which rename path an instruction took does not
+matter: a full rename that found nothing speculative leaves it clean.
 
 **Speculation-free rename fast path.**  While no prediction is unresolved,
 no in-flight instruction carries speculative state (every ``spec_on`` entry
 is discarded when its prediction resolves, and refetch squashes filter
-survivors), so renaming a non-candidate instruction reduces to copying the
-precomputed producer seqs — no closures, no inheritance walk.
+survivors), so renaming a non-candidate instruction reduces to aliasing the
+precomputed producer seqs.  Everything else goes through the reference
+engine's ``_rename``, the one full rename both tiers share.
 
 The five pipeline stages are inlined into one loop in :meth:`_run` with
 every run-invariant hoisted out; the inherited per-stage methods of the
-reference class are *not* used by this tier (only the recovery callbacks —
-``_try_resolve``/``_resolve``/``_repair_deps``/``_release_iq`` — are shared,
-with :meth:`_reset_inst` and :meth:`_squash_from` overridden to maintain the
-wakeup structures).
+reference class are *not* used by this tier, except the full ``_rename``
+and the recovery callbacks — ``_try_resolve``/``_resolve``/``_repair_deps``/
+``_release_iq`` — with :meth:`_reset_inst` and :meth:`_squash_from`
+overridden to maintain the wakeup structures.
 
 ``_TEST_SKIP_EVENT`` is the mutation seam for the ``pipeline-equivalence``
 fuzz oracle's self-test: setting it True suppresses the closed-form IQ
@@ -108,8 +112,9 @@ class FastDynInst(DynInst):
     ``done_at`` is the cycle of this incarnation's pending completion event
     (the event-validity cookie — see the module docstring); ``dirty`` records
     that this incarnation touched state outside the plain
-    fetch/dispatch/issue/commit lifecycle (full rename or squash) and must be
-    fully reset before reuse.  All are cleared by :meth:`reset`.
+    fetch/dispatch/issue/commit lifecycle (prediction, speculative operands,
+    ``train``, squash) and must be fully reset before reuse.  All are cleared
+    by :meth:`reset`.
     """
 
     __slots__ = ("waiters", "in_cand", "done_at", "dirty")
@@ -151,8 +156,6 @@ class FastPipelineSimulator(PipelineSimulator):
         # front_depth, both immutable after fetch.
         self._iq_cap = {"int": config.iq_int, "fp": config.iq_fp}
         self._front_depth = config.front_depth
-        self._observe_store = getattr(predictor, "observe_store", None)
-        self._update_load = getattr(predictor, "update_load", None)
 
     # ==================================================================
     # Main loop: all five stages inlined, one frame of hoisted locals
@@ -270,9 +273,9 @@ class FastPipelineSimulator(PipelineSimulator):
                         if record.result is not None and seq not in trained:
                             trained.add(seq)
                             if entry.is_load and update_load is not None:
-                                update_load(entry.pc, record.addr, record.result)
+                                update_load(record.pc, record.addr, record.result)
                             else:
-                                predictor.update(entry.pc, inst.train, record.result)
+                                predictor.update(record.pc, inst.train, record.result)
                     if seq == self.fetch_stalled_on:
                         self.fetch_stalled_on = None
                         if self.fetch_resume < cycle + 1:
@@ -444,11 +447,14 @@ class FastPipelineSimulator(PipelineSimulator):
                         if entry.is_store and observe_store is not None:
                             record = entry.record
                             if record.addr is not None:
-                                observe_store(entry.pc, record.addr, record.store_value)
+                                observe_store(record.pc, record.addr, record.store_value)
                     else:
-                        inst.dirty = True
                         if self._rename(inst, pred_ports > 0):
                             pred_ports -= 1
+                        # Only an instruction that left the plain lifecycle
+                        # needs a full reset before reuse (module docstring).
+                        if inst.predicted or inst.spec_on or inst.train:
+                            inst.dirty = True
                         for dep in inst.deps:
                             producer = wget(dep)
                             if producer is not None and producer.state != _DONE:

@@ -31,7 +31,6 @@ import os
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..isa.opcodes import OpKind
 from ..sim.trace import TraceRecord
 from ..vp.base import SourceKind, ValuePredictor
 from .branch import BranchPredictor
@@ -190,6 +189,10 @@ class PipelineSimulator:
         #: predictions whose comparison operand has not completed yet,
         #: keyed by the comparison producer's seq
         self._resolution_waiters: Dict[int, List[DynInst]] = {}
+        # Predictor capabilities, looked up once per run.
+        self._table_backed = getattr(predictor, "table_backed", False)
+        self._observe_store = getattr(predictor, "observe_store", None)
+        self._update_load = getattr(predictor, "update_load", None)
 
     # ==================================================================
     # Main loop
@@ -244,7 +247,7 @@ class PipelineSimulator:
                     self.stats.correct_predictions += 1
             self.stats.committed += 1
             committed += 1
-            if entry.record.inst.is_halt:
+            if entry.is_halt:
                 self.halted = True
                 return
 
@@ -266,8 +269,8 @@ class PipelineSimulator:
             if inst.seq not in self._trained:
                 if self.overlay[inst.seq] is not None and record.result is not None:
                     self._trained.add(inst.seq)
-                    if record.is_load and hasattr(self.predictor, "update_load"):
-                        self.predictor.update_load(entry.pc, record.addr, record.result)
+                    if entry.is_load and self._update_load is not None:
+                        self._update_load(entry.pc, record.addr, record.result)
                     else:
                         self.predictor.update(entry.pc, inst.train, record.result)
             if inst.seq == self.fetch_stalled_on:
@@ -296,16 +299,14 @@ class PipelineSimulator:
 
     def _resolve(self, pred: DynInst) -> None:
         pred.resolved = True
-        self.unresolved_preds.pop(pred.seq, None)
+        seq = pred.entry.seq
+        self.unresolved_preds.pop(seq, None)
         if pred.pred_correct:
+            selective = self.recovery is RecoveryScheme.SELECTIVE
             for consumer in pred.spec_consumers:
-                consumer.spec_on.discard(pred.seq)
-                if (
-                    self.recovery is RecoveryScheme.SELECTIVE
-                    and not consumer.spec_on
-                    and consumer.state != _WAIT
-                    and not consumer.iq_released
-                ):
+                spec_on = consumer.spec_on
+                spec_on.discard(seq)
+                if selective and not spec_on and consumer.state != _WAIT and not consumer.iq_released:
                     self._release_iq(consumer)
             if self.recovery is RecoveryScheme.REISSUE:
                 self._reissue_release_scan()
@@ -349,8 +350,6 @@ class PipelineSimulator:
         if inst.state == _WAIT:
             inst.min_issue = max(inst.min_issue, self.cycle + 1)
             return
-        if inst.state == _DONE and inst.seq in self.unresolved_preds:
-            pass  # cannot happen: resolution occurs at completion
         inst.state = _WAIT
         inst.gen += 1
         inst.min_issue = max(inst.min_issue, self.cycle + 1)
@@ -400,10 +399,11 @@ class PipelineSimulator:
             elif fu != "none":
                 fu_free[fu] -= 1
             latency = entry.base_latency
-            if entry.record.is_load and entry.record.addr is not None:
-                latency += self.memory.data_latency(entry.record.addr, cycle)
-            elif entry.record.inst.is_store and entry.record.addr is not None:
-                self.memory.data_latency(entry.record.addr, cycle)
+            addr = entry.record.addr
+            if entry.is_load and addr is not None:
+                latency += self.memory.data_latency(addr, cycle)
+            elif entry.is_store and addr is not None:
+                self.memory.data_latency(addr, cycle)
             inst.state = _ISSUED
             done = cycle + max(1, latency)
             self.completions.setdefault(done, []).append((inst, inst.gen))
@@ -460,89 +460,81 @@ class PipelineSimulator:
 
     def _rename(self, inst: DynInst, port_available: bool) -> bool:
         """Resolve dependences, decide on a prediction.  Returns True if an
-        extra prediction read port was consumed (non-load predictions)."""
+        extra prediction read port was consumed (non-load predictions).
+
+        Both timing tiers rename through this method (the fast tier only
+        bypasses it while nothing is speculative).  ``spec_on`` doubles as
+        the set of predictions this instruction is already attached to as a
+        speculative consumer; ``dep_fix`` indexes ``deps`` as built.
+        """
         entry = inst.entry
-        window = self.window
+        seq = entry.seq
+        wget = self.window.get
         deps: List[int] = []
         dep_fix: List[Tuple[int, int]] = []
         spec_on: Set[int] = set()
-        attached: Set[int] = set()
 
-        def add_dep(producer_seq: Optional[int]) -> None:
-            if producer_seq is None:
-                return
-            producer = window.get(producer_seq)
+        for producer_seq in entry.dep_seqs:
+            producer = wget(producer_seq)
             if producer is None:
-                deps.append(producer_seq)
-                return
+                deps.append(producer_seq)  # committed (or never in flight)
+                continue
             if producer.predicted and not producer.resolved:
                 # Read the *predicted* value: the old physical mapping, i.e.
                 # the previous writer's actual output (renaming guarantees it
                 # is the real value, whether or not that writer was itself
                 # predicted — its execution is never speculative, only its
                 # prediction is).
-                dep_seq = producer.pred_value_dep
-                index = len(deps)
-                deps.append(dep_seq if dep_seq is not None else -1)
-                dep_fix.append((index, producer_seq))
-                spec_on.add(producer_seq)
-                if producer_seq not in attached:
+                if producer_seq not in spec_on:
+                    spec_on.add(producer_seq)
                     producer.spec_consumers.append(inst)
-                    attached.add(producer_seq)
                 if producer.first_use is None:
-                    producer.first_use = inst.seq
+                    producer.first_use = seq
+                dep_seq = producer.pred_value_dep
+                if dep_seq is None:
+                    continue  # no old writer in flight or committed: ready
+                dep_fix.append((len(deps), producer_seq))
+                deps.append(dep_seq)
                 # If the old value itself came from a speculative execution,
                 # inherit that input-speculation.
-                old_producer = window.get(dep_seq) if dep_seq is not None else None
-                if old_producer is not None and old_producer.spec_on:
-                    _inherit(old_producer)
+                producer = wget(dep_seq)
+                if producer is None:
+                    continue
             else:
                 deps.append(producer_seq)
-                if producer.spec_on:
-                    _inherit(producer)
-
-        def _inherit(producer: DynInst) -> None:
-            for pseq in producer.spec_on:
-                pending = self.unresolved_preds.get(pseq)
-                if pending is not None:
-                    spec_on.add(pseq)
-                    if pseq not in attached:
-                        pending.spec_consumers.append(inst)
-                        attached.add(pseq)
-
-        for dep in entry.src_deps:
-            add_dep(dep)
-        if entry.store_dep is not None:
-            add_dep(entry.store_dep)
+            if producer.spec_on:
+                self._inherit(inst, spec_on, producer.spec_on)
 
         # Memory-renaming predictors snoop stores at rename (store-queue
         # forwarding: the value is visible in program order, not at commit).
         record = entry.record
-        if record.inst.is_store and record.addr is not None and hasattr(self.predictor, "observe_store"):
-            self.predictor.observe_store(entry.pc, record.addr, record.store_value)
+        if entry.is_store and self._observe_store is not None and record.addr is not None:
+            self._observe_store(record.pc, record.addr, record.store_value)
 
         # ---- value prediction decision ----
         used_port = False
-        slot = self.overlay[inst.seq]
-        if slot is not None and entry.record.result is not None:
-            source, value_dep, prev_instance, inst.train, needs_port = slot
-            predictable = self.predictor.confident(entry.pc)
+        slot = self.overlay[seq]
+        if slot is not None and record.result is not None:
+            source, value_dep, prev_instance, train, needs_port = slot
+            predictor = self.predictor
+            predictable = predictor.confident(record.pc)
             stored_ok = True
             if source.kind is SourceKind.STORED:
-                if getattr(self.predictor, "table_backed", False):
-                    stored = self.predictor.stored_value(entry.pc)
+                if self._table_backed:
+                    stored = predictor.stored_value(record.pc)
                     stored_ok = stored is not None
-                    inst.train = stored_ok and stored == entry.record.result
+                    train = stored_ok and stored == record.result
                     value_dep = None
                 else:
                     stored_ok = prev_instance is not None
                     value_dep = prev_instance
+            inst.train = train
             # Buffer-based predictors read no register for the prediction;
             # register-based prediction of a non-load needs an extra port.
             if predictable and stored_ok and (not needs_port or port_available):
                 inst.predicted = True
                 inst.resolved = False
-                inst.pred_correct = inst.train
+                inst.pred_correct = train
                 used_port = needs_port
                 # The comparison value (the old mapping, i.e. the previous
                 # writer's actual output) gates *resolution*, not execution:
@@ -552,27 +544,26 @@ class PipelineSimulator:
                 # a speculative execution, this prediction inherits that
                 # input-speculation.
                 inst.pred_value_dep = value_dep
-                old_producer = window.get(value_dep) if value_dep is not None else None
+                old_producer = wget(value_dep) if value_dep is not None else None
                 if old_producer is not None and old_producer.spec_on:
-                    _inherit(old_producer)
-                self.unresolved_preds[inst.seq] = inst
+                    self._inherit(inst, spec_on, old_producer.spec_on)
+                self.unresolved_preds[seq] = inst
 
-        inst.deps = [d for d in deps if d >= 0]
-        # Re-index dep_fix against the filtered list.
-        if dep_fix:
-            remap: List[Tuple[int, int]] = []
-            kept = 0
-            for i, d in enumerate(deps):
-                for index, true_seq in dep_fix:
-                    if index == i and d >= 0:
-                        remap.append((kept, true_seq))
-                if d >= 0:
-                    kept += 1
-            inst.dep_fix = remap
-        else:
-            inst.dep_fix = []
+        inst.deps = deps
+        inst.dep_fix = dep_fix
         inst.spec_on = spec_on
         return used_port
+
+    def _inherit(self, inst: DynInst, spec_on: Set[int], inherited: Set[int]) -> None:
+        """Attach ``inst`` to every still-unresolved prediction in
+        ``inherited`` (a producer's ``spec_on``) that ``spec_on`` lacks."""
+        pending_get = self.unresolved_preds.get
+        for pseq in inherited:
+            if pseq not in spec_on:
+                pending = pending_get(pseq)
+                if pending is not None:
+                    spec_on.add(pseq)
+                    pending.spec_consumers.append(inst)
 
     # ==================================================================
     # Fetch
@@ -600,7 +591,6 @@ class PipelineSimulator:
                     break
                 last_line = line
             inst = DynInst(entry)
-            inst.reset(fetch_cycle=self.cycle)
             inst.earliest_issue = self.cycle + self.config.front_depth
             self.fetch_queue.append((inst, self.cycle))
             self.fetch_cursor += 1
@@ -608,11 +598,10 @@ class PipelineSimulator:
             self.stats.fetched += 1
 
             record = entry.record
-            op_kind = record.inst.op.kind
-            if record.inst.is_halt:
+            if entry.is_halt:
                 break
-            if record.inst.is_control:
-                taken = bool(record.taken) if op_kind is OpKind.BRANCH else True
+            if entry.is_control:
+                taken = bool(record.taken) if entry.cond_branch else True
                 correct = self.branch.predict_and_train(record.inst, taken, record.next_pc)
                 if not correct:
                     self.stats.branch_mispredicts += 1

@@ -96,6 +96,24 @@ def test_stream_series_gate_once_a_baseline_carries_them():
     assert all(report[metric]["status"] == "fail" for metric in metrics)
 
 
+def test_speculative_pipeline_series_is_gated_once_a_baseline_carries_it():
+    metric = "pipeline_fast_spec_cycles_per_s_geomean"
+    from repro.bench.harness import REGRESSION_METRICS
+
+    assert metric in REGRESSION_METRICS
+    current = _payload(1.0, 1.0, 1.0)
+    current["summary"][metric] = 100.0
+    # The committed BENCH_3.json predates the series: non-failing "missing".
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench3 = load_bench(os.path.join(root, "BENCH_3.json"))
+    report = {e["metric"]: e for e in compare_benchmarks(current, bench3)}
+    assert report[metric]["status"] == "missing"
+    baseline = _payload(1.0, 1.0, 1.0)
+    baseline["summary"][metric] = 200.0
+    report = {e["metric"]: e for e in compare_benchmarks(current, baseline)}
+    assert report[metric]["status"] == "fail"
+
+
 def test_compare_custom_thresholds():
     baseline = _payload(10.0, 10.0, 10.0)
     current = _payload(8.0, 8.0, 8.0)  # uniform -20%
@@ -147,7 +165,13 @@ def test_run_benchmarks_payload_shape():
     assert engines["lanes"] == 2
     assert engines["lane_instructions"] == 2 * engines["instructions"]
     assert engines["batched_minstr_s_per_lane"] > 0
-    assert payload["results"]["pipeline"]["li"]["cycles"] > 0
+    pipeline = payload["results"]["pipeline"]["li"]
+    assert pipeline["cycles"] > 0
+    # The speculative leg really speculates (and its two engines agreed,
+    # or run_benchmarks would have raised).
+    assert pipeline["spec_cycles"] > 0 and pipeline["spec_predictions"] > 0
+    assert pipeline["fast_spec_cycles_per_s"] > 0
+    assert payload["summary"]["pipeline_fast_spec_cycles_per_s_geomean"] > 0
     stream = payload["results"]["stream"]["li"]
     assert stream["entries"] == 300
     assert stream["core_kentries_s"] > 0 and stream["overlay_kentries_s"] > 0

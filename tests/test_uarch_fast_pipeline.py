@@ -15,7 +15,7 @@ from repro.uarch.fast import FastDynInst, FastPipelineSimulator
 from repro.uarch.pipeline import _DONE, _ISSUED, simulate
 from repro.uarch.recovery import RecoveryScheme
 from repro.uarch.config import table1_config
-from repro.vp import LastValuePredictor, NoPredictor
+from repro.vp import DynamicRVP, LastValuePredictor, NoPredictor
 from repro.workloads import all_workloads
 
 CFG = table1_config()
@@ -193,6 +193,19 @@ def test_reset_restores_wakeup_defaults(tiny_loop_program, tiny_loop_memory):
     assert inst.gen == 0
 
 
+def _assert_clean(inst):
+    # Fast-path acquire resets only entry/gen/state/min_issue/
+    # complete_cycle — the rest must already be at defaults.
+    assert not inst.waiters, "pooled clean producers must not pin consumers"
+    assert not inst.in_cand
+    assert inst.state == _DONE
+    assert not inst.predicted and inst.resolved and not inst.pred_correct
+    assert inst.pred_value_dep is None and inst.first_use is None
+    assert not inst.spec_on and not inst.spec_consumers
+    assert not inst.dep_fix, "a clean entry never carried a repairable dependence"
+    assert not inst.train and inst.iq_released
+
+
 def test_pool_entries_are_clean_or_marked_dirty(squashy_trace):
     # A squash-heavy run (REFETCH + a mispredicting LVP) recycles both
     # committed instructions and squash victims.  Committed plain-lifecycle
@@ -204,16 +217,44 @@ def test_pool_entries_are_clean_or_marked_dirty(squashy_trace):
     assert sim._pool, "commit/squash must return instructions to the pool"
     assert any(inst.dirty for inst in sim._pool), "squash victims reach the pool"
     for inst in sim._pool:
+        if not inst.dirty:  # dirty: acquire runs a full reset()
+            _assert_clean(inst)
+
+
+@pytest.mark.parametrize(
+    "make_predictor",
+    [lambda: DynamicRVP(loads_only=False), lambda: LastValuePredictor(loads_only=False)],
+    ids=["drvp_all", "lvp_all"],
+)
+def test_selective_pool_keeps_unspeculated_slow_renames_clean(squashy_trace, make_predictor):
+    # With predictions in flight most instructions rename on the full
+    # (speculative) path.  Only those that were predicted, consumed a
+    # speculative value or trained as correct are marked dirty; the rest
+    # reach the pool clean, and the run stays stats-exact.
+    sim = _fast_sim(squashy_trace, make_predictor(), RecoveryScheme.SELECTIVE)
+    slow_renamed = {}  # id(inst) -> seq of the incarnation renamed in full
+    rename = sim._rename
+
+    def spy(inst, port_available):
+        slow_renamed[id(inst)] = inst.entry.seq
+        return rename(inst, port_available)
+
+    sim._rename = spy
+    stats = sim.run()
+    reference = simulate(
+        squashy_trace, make_predictor(), CFG, RecoveryScheme.SELECTIVE, engine="reference"
+    )
+    assert stats.counters() == reference.counters()
+    assert stats.predictions > 0, "case must actually speculate"
+    assert any(inst.dirty for inst in sim._pool), "speculated instructions reach the pool"
+    clean_slow = 0
+    for inst in sim._pool:
         if inst.dirty:
-            continue  # acquire runs a full reset(); stale fields are fine
-        # Fast-path acquire resets only entry/gen/state/min_issue/
-        # complete_cycle — the rest must already be at defaults.
-        assert not inst.waiters, "pooled clean producers must not pin consumers"
-        assert not inst.in_cand
-        assert inst.state == _DONE
-        assert not inst.predicted and inst.resolved
-        assert not inst.spec_on and not inst.spec_consumers
-        assert not inst.train and inst.iq_released
+            continue
+        _assert_clean(inst)
+        if slow_renamed.get(id(inst)) == inst.entry.seq:
+            clean_slow += 1
+    assert clean_slow > 0, "unspeculated full renames must reach the pool clean"
 
 
 def test_pool_reuse_keeps_stats_exact(squashy_trace):

@@ -199,3 +199,40 @@ def test_pipeline_commits_random_programs_under_all_predictors(seed):
             assert stats.correct_predictions <= stats.predictions <= stats.committed
             if hasattr(predictor, "reset"):
                 predictor.reset()
+
+
+def test_rename_drops_dependences_on_predictions_without_an_old_writer(
+    tiny_loop_program, tiny_loop_memory
+):
+    # A predicted producer whose prediction value has no producer
+    # (pred_value_dep None) contributes no dependence and no dep_fix entry,
+    # though the consumer still speculates on it; the dep_fix indices of the
+    # other predicted producers point into the dependence list as kept.
+    from dataclasses import replace
+
+    from repro.uarch.pipeline import DynInst
+
+    sim = PipelineSimulator(
+        trace_of(tiny_loop_program, tiny_loop_memory), NoPredictor(), CFG, engine="reference"
+    )
+    entries = sim.entries
+    no_old, committed, predicted, old_value = 10, 11, 12, 5
+
+    def in_flight(seq, pred_value_dep):
+        producer = DynInst(entries[seq])
+        producer.predicted, producer.resolved = True, False
+        producer.pred_value_dep = pred_value_dep
+        sim.window[seq] = producer
+        sim.unresolved_preds[seq] = producer
+        return producer
+
+    first = in_flight(no_old, None)
+    second = in_flight(predicted, old_value)
+    producers = (no_old, committed, predicted)
+    consumer = DynInst(replace(entries[20], src_deps=producers, store_dep=None, dep_seqs=producers))
+    assert sim._rename(consumer, True) is False
+    assert consumer.deps == [committed, old_value]
+    assert consumer.dep_fix == [(1, predicted)]
+    assert consumer.spec_on == {no_old, predicted}
+    assert first.spec_consumers == [consumer] and second.spec_consumers == [consumer]
+    assert first.first_use == 20 and second.first_use == 20
