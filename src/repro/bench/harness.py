@@ -6,13 +6,12 @@
   interpreter (``step()``-equivalent loop), the decoded no-record fast path
   and the decoded trace path.  The decoded/reference ratio is the headline
   number the pre-decoded interpreter is accountable for.
-* **engines** — the two upper execution tiers: trace-JIT committed
-  instructions per second (``jit_minstr_s``) and batched lane-instruction
-  throughput across a multi-lane batch (``batched_minstr_s_per_lane``,
-  i.e. per-lane committed instructions summed over all lanes, divided by
-  the batch wall time).  The batched series is what same-program campaign
-  fusion is accountable for: it must beat the decoded fast path's
-  single-lane rate by a wide margin to pay for lane masking.
+* **engines** — the batched tier's lane-instruction throughput across a
+  multi-lane batch (``batched_minstr_s_per_lane``, i.e. per-lane committed
+  instructions summed over all lanes, divided by the batch wall time).  It
+  is what same-program campaign fusion is accountable for: it must beat
+  the decoded fast path's single-lane rate by a wide margin to pay for
+  lane masking.
 * **pipeline** — cycle-engine throughput (simulated cycles per wall second)
   driving :func:`repro.uarch.pipeline.simulate` off a materialized trace, for
   both timing tiers: the reference per-cycle loop measured cold (stream
@@ -58,6 +57,7 @@ from ..uarch.pipeline import simulate
 from ..uarch.recovery import RecoveryScheme
 from ..uarch.stream import prepare_stream
 from ..vp.base import NoPredictor
+from ..vp.base import NoPredictor
 from ..vp.rvp import DynamicRVP
 from ..workloads.suite import WORKLOAD_CLASSES, make_workload
 
@@ -73,10 +73,9 @@ REGRESSION_METRICS = (
     "trace_minstr_s_geomean",
     "pipeline_cycles_per_s_geomean",
     "pipeline_fast_cycles_per_s_geomean",
-    # The two upper execution tiers.  Baselines that predate these series
-    # (BENCH_1.json) simply skip them in compare_benchmarks, so the gate
-    # only arms once a baseline carrying them is committed.
-    "jit_minstr_s_geomean",
+    # The batched tier.  Baselines that predate a series (BENCH_1.json)
+    # simply skip it in compare_benchmarks, so the gate only arms once a
+    # baseline carrying it is committed.
     "batched_minstr_s_per_lane_geomean",
     "stream_core_kentries_s_geomean",
     "stream_overlay_kentries_s_geomean",
@@ -169,33 +168,21 @@ def _bench_funcsim(name: str, max_insts: int, repeats: int) -> Dict[str, float]:
     }
 
 
-def _bench_engines(name: str, max_insts: int, repeats: int, lanes: int) -> Dict[str, float]:
-    """Trace-JIT and batched-tier throughput on one workload.
+def _bench_batched(name: str, max_insts: int, repeats: int, lanes: int) -> Dict[str, float]:
+    """Batched-tier throughput on one workload.
 
-    ``jit_minstr_s`` is directly comparable to ``fast_minstr_s``: same
-    single-lane run, same commit count, hot blocks stitched into compiled
-    superinstructions.  ``batched_minstr_s_per_lane`` sums per-lane committed
-    instructions across a ``lanes``-wide batch and divides by the batch wall
-    time — the aggregate rate campaign fusion achieves per wall second.
+    ``batched_minstr_s_per_lane`` sums per-lane committed instructions across
+    a ``lanes``-wide batch and divides by the batch wall time — the aggregate
+    rate campaign fusion achieves per wall second.
     """
     from ..sim.batched import run_batch
 
     workload = make_workload(name)
     program, _ = workload.build("ref")
-
-    def run_jit() -> int:
-        # Fresh memory per run: the ref input is mutated by stores.
-        _, memory = workload.build("ref")
-        sim = FunctionalSimulator(program, memory=memory, engine="jit")
-        return sim.run(max_instructions=max_insts).instructions
-
-    instructions = run_jit()  # warms the per-Program JIT block cache
-    jit_s = _best_time(run_jit, repeats)
-    jit_rate = instructions / jit_s / 1e6 if jit_s > 0 else 0.0
-
     best_s = math.inf
     lane_instructions = 0
     for _ in range(repeats):
+        # Fresh memories per repeat: the ref input is mutated by stores.
         memories = [workload.build("ref")[1] for _ in range(lanes)]
         start = time.perf_counter()
         lanes_out = run_batch(program, memories, max_instructions=max_insts)
@@ -204,8 +191,6 @@ def _bench_engines(name: str, max_insts: int, repeats: int, lanes: int) -> Dict[
     batched_rate = lane_instructions / best_s / 1e6 if best_s > 0 else 0.0
 
     return {
-        "instructions": instructions,
-        "jit_minstr_s": jit_rate,
         "lanes": lanes,
         "lane_instructions": lane_instructions,
         "batched_minstr_s_per_lane": batched_rate,
@@ -402,8 +387,8 @@ def run_benchmarks(
     for name in config.workloads:
         note(f"bench {name}: funcsim")
         funcsim[name] = _bench_funcsim(name, config.max_instructions, config.repeats)
-        note(f"bench {name}: engines")
-        engines[name] = _bench_engines(
+        note(f"bench {name}: batched")
+        engines[name] = _bench_batched(
             name, config.max_instructions, config.repeats, config.lanes
         )
         note(f"bench {name}: pipeline")
@@ -419,7 +404,6 @@ def run_benchmarks(
         "trace_minstr_s_geomean": _geomean([r["trace_minstr_s"] for r in funcsim.values()]),
         "fast_speedup_geomean": _geomean([r["fast_speedup"] for r in funcsim.values()]),
         "trace_speedup_geomean": _geomean([r["trace_speedup"] for r in funcsim.values()]),
-        "jit_minstr_s_geomean": _geomean([r["jit_minstr_s"] for r in engines.values()]),
         "batched_minstr_s_per_lane_geomean": _geomean(
             [r["batched_minstr_s_per_lane"] for r in engines.values()]
         ),

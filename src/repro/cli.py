@@ -573,6 +573,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis.verifier import LintConfig, rule_catalog, verify_program
     from .core.session import get_session
 
+    if args.max_gap is not None and not args.reuse_report:
+        print("lint: --max-gap requires --reuse-report (it gates the reuse-class gaps)", file=sys.stderr)
+        return 2
     if args.rules:
         for info in rule_catalog():
             print(f"{info.rule_id}  {info.severity.value:7s}  {info.description}")
@@ -917,9 +920,13 @@ def _cmd_ir(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
     import os
+    from dataclasses import asdict
 
     from .testing import GeneratorConfig, run_fuzz
 
+    if args.run_id is not None and not args.out_dir:
+        print("repro: --run-id requires --out-dir (it names a fuzz journal)", file=sys.stderr)
+        return 2
     config = GeneratorConfig(
         segments=args.segments,
         loop_depth=args.loop_depth,
@@ -945,6 +952,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "runs": args.runs,
             "oracles": sorted(args.oracle) if args.oracle else [],
             "shrink": not args.no_shrink,
+            "generator": asdict(config),
         }
         path = journal_path(args.out_dir, run_id)
         try:
@@ -1082,8 +1090,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"({summary['fast_speedup_geomean']:.1f}x), "
               f"trace {summary['trace_minstr_s_geomean']:.2f} Minstr/s "
               f"({summary['trace_speedup_geomean']:.1f}x)")
-        print(f"engines:  jit {summary['jit_minstr_s_geomean']:.2f} Minstr/s, "
-              f"batched {summary['batched_minstr_s_per_lane_geomean']:.2f} M lane-instr/s "
+        print(f"engines:  batched {summary['batched_minstr_s_per_lane_geomean']:.2f} M lane-instr/s "
               f"({config.lanes} lanes)")
         print(f"pipeline: reference {summary['pipeline_cycles_per_s_geomean']:,.0f} cycles/s, "
               f"fast {summary['pipeline_fast_cycles_per_s_geomean']:,.0f} cycles/s "
@@ -1269,7 +1276,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--runs", type=int, default=100, help="number of generated programs")
     fuzz_parser.add_argument(
         "--oracle", nargs="+", choices=list(ORACLE_FAMILIES), default=None,
-        help="oracle families to apply (default: all five)",
+        help=f"oracle families to apply (default: all {len(ORACLE_FAMILIES)})",
     )
     fuzz_parser.add_argument("--no-shrink", action="store_true", help="report failures without minimising them")
     fuzz_parser.add_argument("--json", action="store_true", help="emit the campaign report as JSON")
@@ -1309,9 +1316,12 @@ def build_parser() -> argparse.ArgumentParser:
     ir_parser.add_argument("--seed", type=int, default=0, help="first generator seed for --generated")
     ir_parser.set_defaults(fn=_cmd_ir)
 
+    from .bench.harness import BenchConfig
+
     bench_parser = sub.add_parser("bench", help="benchmark execution-core throughput and track regressions")
     bench_parser.add_argument(
-        "--workload", nargs="+", choices=sorted(WORKLOAD_CLASSES), help="workloads to time (default: all nine)"
+        "--workload", nargs="+", choices=sorted(WORKLOAD_CLASSES),
+        help=f"workloads to time (default: all {len(BenchConfig().workloads)})",
     )
     bench_parser.add_argument(
         "--quick", action="store_true", help="fast smoke mode: m88ksim + mgrid, 20k insts, 2 repeats"

@@ -1,23 +1,29 @@
-"""SSA compiler mid-end: programmatic IR, passes, and lowering.
+"""SSA front end: programmatic IR, SSA construction, allocation and lowering.
+
+The paper's compiler passes (static RVP marking, move insertion, stride
+shadows, Section 7.3 reallocation) run on flat programs in
+:mod:`repro.compiler`.  SSA is the substrate for everything that is easier
+on it: builder-authored workloads, the abstract interpreter
+(:mod:`repro.analysis.absint`), and the raise -> SSA -> lower round trip
+that ``repro ir`` and the ``--frontend ir`` fuzz leg check.
 
 The package splits into layers:
 
 * :mod:`repro.ir.nodes` — the data model (values, phis, blocks, functions);
-* :mod:`repro.ir.ssa` — raising flat programs and SSA construction;
+* :mod:`repro.ir.ssa` — raising flat programs, SSA construction and phi
+  webs (the SSA view the flat web builder is cross-checked against);
 * :mod:`repro.ir.liveness` — tick-grain value liveness;
 * :mod:`repro.ir.regalloc` — coalescing, colouring (reusing the flat
   Chaitin–Briggs machinery) and spilling;
 * :mod:`repro.ir.lower` — SSA destruction and emission back to the flat ISA;
 * :mod:`repro.ir.builder` — the programmatic front end;
-* :mod:`repro.ir.passes` / :mod:`repro.ir.pipeline` — the RVP passes
-  rebuilt on SSA, plus flat-entry wrappers (raise -> pass -> lower);
 * :mod:`repro.ir.equiv` — trace-equivalence checking for round trips.
 """
 
 from .builder import IRBuilder
 from .equiv import EquivalenceReport, check_equivalence, roundtrip
 from .liveness import ENTRY_TICK, ValueLiveness, value_liveness
-from .lower import FunctionConstraints, LoweringResult, lower_module, sequence_copies
+from .lower import LoweringResult, lower_module, sequence_copies
 from .nodes import (
     FP,
     INT,
@@ -31,22 +37,8 @@ from .nodes import (
     VReg,
     verify_ssa,
 )
-from .passes import (
-    StridePlan,
-    insert_after_instr,
-    mark_rvp_loads,
-    origin_index,
-    plan_reallocation,
-    plan_stride_shadows,
-)
-from .pipeline import (
-    apply_stride_pass_ssa,
-    insert_after_ssa,
-    mark_static_rvp_ssa,
-    reallocate_ssa,
-)
 from .regalloc import SPILL_BASE, SPILL_END, AllocationResult, SpillSlots, allocate
-from .ssa import arch_vreg, raise_program, to_ssa
+from .ssa import PhiWebs, arch_vreg, phi_webs, raise_program, to_ssa
 
 __all__ = [
     "IRBuilder",
@@ -56,7 +48,6 @@ __all__ = [
     "ENTRY_TICK",
     "ValueLiveness",
     "value_liveness",
-    "FunctionConstraints",
     "LoweringResult",
     "lower_module",
     "sequence_copies",
@@ -71,22 +62,14 @@ __all__ = [
     "Value",
     "VReg",
     "verify_ssa",
-    "StridePlan",
-    "insert_after_instr",
-    "mark_rvp_loads",
-    "origin_index",
-    "plan_reallocation",
-    "plan_stride_shadows",
-    "apply_stride_pass_ssa",
-    "insert_after_ssa",
-    "mark_static_rvp_ssa",
-    "reallocate_ssa",
     "SPILL_BASE",
     "SPILL_END",
     "AllocationResult",
     "SpillSlots",
     "allocate",
+    "PhiWebs",
     "arch_vreg",
+    "phi_webs",
     "raise_program",
     "to_ssa",
 ]

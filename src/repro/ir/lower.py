@@ -16,17 +16,16 @@ The pipeline per function is
    provenance: every emitted pc gets a :class:`~repro.isa.program.SourceLoc`
    (IR block, loop depth, originating flat pc) in ``Program.source_map``,
    and ``LoweringResult.pc_origin`` / ``origin_map`` relate old and new pcs
-   for the trace-equivalence oracle and the pass wrappers.
+   for the trace-equivalence check of :mod:`repro.ir.equiv`.
 
 The module is *not* mutated: phis stay in place, copies and split blocks
-exist only in the emission plan, so a module can be lowered repeatedly
-(e.g. once per reallocation constraint set).
+exist only in the emission plan, so a module can be lowered repeatedly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instructions import Instruction
 from ..isa.opcodes import OpKind, opcode
@@ -37,15 +36,6 @@ from .regalloc import AllocationResult, SpillSlots, allocate
 
 #: One parallel-copy element: destination register, source register, kind.
 Copy = Tuple[Reg, Reg, str]
-
-
-@dataclass
-class FunctionConstraints:
-    """Allocator inputs a pass attaches to one function (see regalloc)."""
-
-    merges: Sequence[Tuple[int, int]] = ()
-    conflict_edges: Sequence[Tuple[int, int]] = ()
-    exclusive_vids: Sequence[int] = ()
 
 
 @dataclass
@@ -219,28 +209,13 @@ def _emit_instr(instr, retarget: Dict[Tuple[str, str], str], label: str, where: 
     )
 
 
-def lower_module(
-    module: IRModule,
-    *,
-    constraints: Optional[Dict[str, FunctionConstraints]] = None,
-    slots: Optional[SpillSlots] = None,
-    spill: bool = True,
-) -> LoweringResult:
+def lower_module(module: IRModule, *, slots: Optional[SpillSlots] = None) -> LoweringResult:
     """Allocate registers for every function and emit a flat program."""
-    constraints = constraints or {}
     slots = slots or SpillSlots()
     allocations: Dict[str, AllocationResult] = {}
     for func in module.functions:
         verify_ssa(func)
-        cons = constraints.get(func.name, FunctionConstraints())
-        result = allocate(
-            func,
-            slots,
-            merges=cons.merges,
-            conflict_edges=cons.conflict_edges,
-            exclusive_vids=cons.exclusive_vids,
-            spill=spill,
-        )
+        result = allocate(func, slots)
         if not result.ok:
             raise IRError(result.failure)
         allocations[func.name] = result

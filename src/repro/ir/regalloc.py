@@ -11,11 +11,7 @@ preference / precolour rules.  What the SSA form adds on top:
   values descending from the same virtual register whenever their tick
   ranges don't overlap, so an unconstrained allocation of a raised program
   reproduces its original registers exactly (every class keeps its
-  preferred register).  Pass-requested merges (the reallocator's live-range
-  merging) ride the same mechanism with higher priority.
-* **constraint edges** — last-value-register exclusivity and
-  stride-shadow exclusivity are extra adjacency, exactly like the flat
-  reallocator's ``extra_edges``.
+  preferred register).
 * **spilling** — when colouring fails (only possible for builder-authored
   code; a raised program is its own colouring), the uncoloured classes are
   spilled to reserved absolute slots (``SPILL_BASE``): a store after each
@@ -26,7 +22,7 @@ preference / precolour rules.  What the SSA form adds on top:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..compiler.coloring import ColorNode, color_graph
 from ..compiler.interference import build_interference
@@ -93,40 +89,24 @@ class AllocationResult:
     reg_of: Dict[int, Reg] = field(default_factory=dict)  # vid -> register
     class_of: Dict[int, int] = field(default_factory=dict)  # vid -> class index
     classes: Dict[int, ValueClass] = field(default_factory=dict)
-    #: Indices of merge requests that were honoured.
-    merges_applied: Set[int] = field(default_factory=set)
     #: vids spilled across all rounds.
     spilled: List[int] = field(default_factory=list)
     #: Why colouring failed, when ``ok`` is False.
     failure: str = ""
 
 
-def _try_union(
-    classes: Dict[int, ValueClass],
-    root: Dict[int, int],
-    keep_vid: int,
-    other_vid: int,
-    separations: Sequence[Tuple[int, int]] = (),
-) -> bool:
+def _try_union(classes: Dict[int, ValueClass], root: Dict[int, int], keep_vid: int, other_vid: int) -> None:
     """Merge ``other``'s class into ``keep``'s if legal; keep's affinity wins."""
     a, b = root[keep_vid], root[other_vid]
     if a == b:
-        return True
+        return
     ca, cb = classes[a], classes[b]
     if ca.kind != cb.kind:
-        return False
+        return
     if ca.pin is not None and cb.pin is not None and ca.pin != cb.pin:
-        return False
+        return
     if ca.live_pcs & cb.live_pcs:
-        return False
-    # A separation (conflict edge) means the two values must end up in
-    # different registers, so coalescing their classes is illegal.
-    for x, y in separations:
-        if x not in root or y not in root:
-            continue
-        rx, ry = root[x], root[y]
-        if (rx == a and ry == b) or (rx == b and ry == a):
-            return False
+        return
     ca.live_pcs |= cb.live_pcs
     ca.vids |= cb.vids
     ca.pin = ca.pin or cb.pin
@@ -134,16 +114,10 @@ def _try_union(
     for vid in cb.vids:
         root[vid] = a
     del classes[b]
-    return True
 
 
-def build_classes(
-    func: IRFunction,
-    liveness: ValueLiveness,
-    merges: Sequence[Tuple[int, int]] = (),
-    separations: Sequence[Tuple[int, int]] = (),
-) -> Tuple[Dict[int, ValueClass], Dict[int, int], Set[int]]:
-    """Coalesce values into classes; returns (classes, vid->class, merges applied)."""
+def build_classes(func: IRFunction, liveness: ValueLiveness) -> Tuple[Dict[int, ValueClass], Dict[int, int]]:
+    """Coalesce values into classes; returns (classes, vid->class)."""
     classes: Dict[int, ValueClass] = {}
     root: Dict[int, int] = {}
     for vid, value in liveness.values.items():
@@ -155,20 +129,10 @@ def build_classes(
         classes[vid] = cls
         root[vid] = vid
 
-    applied: Set[int] = set()
-    for index, (keep, other) in enumerate(merges):
-        if keep in root and other in root and _try_union(classes, root, keep, other, separations):
-            applied.add(index)
     for block in func.blocks:
         for phi in block.phis:
             for arg in phi.args.values():
-                _try_union(classes, root, phi.dst.vid, arg.vid, separations)
-    # Classes carrying a requested merge are excluded from the cosmetic
-    # same-vreg coalescing below: folding in another web of the destination
-    # register could bring along a calling-convention pin (or a competing
-    # preference) that would override the requested register, which the flat
-    # pass — recolouring exactly one web — never does.
-    locked = {root[vid] for index in applied for vid in merges[index]}
+                _try_union(classes, root, phi.dst.vid, arg.vid)
     by_vreg: Dict[object, List[int]] = {}
     for vid in sorted(liveness.values):
         vreg = liveness.values[vid].vreg
@@ -177,41 +141,8 @@ def build_classes(
     for vids in by_vreg.values():
         leader = vids[0]
         for vid in vids[1:]:
-            if root[leader] in locked or root[vid] in locked:
-                continue
-            _try_union(classes, root, leader, vid, separations)
-    # Re-assert the keep side's affinity (the reallocator's hint register):
-    # phi coalescing may have folded the merged class into one whose own
-    # preference would otherwise win.
-    for index in applied:
-        keep = merges[index][0]
-        value = liveness.values[keep]
-        preference = value.pin or value.preferred
-        cls = classes[root[keep]]
-        if cls.pin is None and preference is not None:
-            cls.preferred = preference
-    return classes, root, applied
-
-
-def textual_vids(func: IRFunction) -> Set[int]:
-    """Values that occur in the function's text (instructions or phis).
-
-    The complement — values carried only by convention edges (entry
-    definitions and call/exit uses of registers the function never names) —
-    matters for stride shadows: the flat pass parks shadows in registers the
-    procedure text never touches, treating conventional pass-through
-    liveness as free, and exclusivity must match that to reach parity.
-    """
-    vids: Set[int] = set()
-    for block in func.blocks:
-        for phi in block.phis:
-            vids.add(phi.dst.vid)
-            vids.update(arg.vid for arg in phi.args.values())
-        for instr in block.instrs:
-            if isinstance(instr.defined, Value):
-                vids.add(instr.defined.vid)
-            vids.update(v.vid for v in instr.used)
-    return vids
+            _try_union(classes, root, leader, vid)
+    return classes, root
 
 
 def _spillable(value: Value) -> bool:
@@ -270,57 +201,17 @@ def _spill_class(func: IRFunction, cls: ValueClass, liveness: ValueLiveness, slo
     return spilled
 
 
-def allocate(
-    func: IRFunction,
-    slots: SpillSlots,
-    *,
-    merges: Sequence[Tuple[int, int]] = (),
-    conflict_edges: Iterable[Tuple[int, int]] = (),
-    exclusive_vids: Iterable[int] = (),
-    spill: bool = True,
-    max_rounds: int = 16,
-) -> AllocationResult:
-    """Allocate registers for one SSA function.
+def allocate(func: IRFunction, slots: SpillSlots, *, max_rounds: int = 16) -> AllocationResult:
+    """Allocate registers for one SSA function, spilling until it colours.
 
-    ``merges`` are best-effort coalesce requests ``(keep_vid, other_vid)``
-    (the keep side's register affinity wins).  ``conflict_edges`` force two
-    values' classes apart (LVR loop exclusivity); ``exclusive_vids`` force a
-    value's class apart from *every* same-kind class (stride shadows).  With
-    ``spill=False`` a colouring failure returns ``ok=False`` instead of
-    spilling — the reallocator uses that to prune constraints, the paper's
-    Section 7.3 fallback.
+    Returns ``ok=False`` only when colouring fails with nothing left to
+    spill (every uncoloured class is pinned or already a reload temporary).
     """
-    conflict_edges = list(conflict_edges)
-    exclusive_vids = list(exclusive_vids)
     spilled: List[int] = []
     for _ in range(max_rounds):
         liveness = value_liveness(func)
-        classes, root, applied = build_classes(func, liveness, merges, conflict_edges)
-
+        classes, root = build_classes(func, liveness)
         adjacency = build_interference(list(classes.values()))
-        for vid_a, vid_b in conflict_edges:
-            if vid_a not in root or vid_b not in root:
-                continue
-            a, b = root[vid_a], root[vid_b]
-            if a != b and classes[a].kind == classes[b].kind:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        textual = textual_vids(func)
-        for vid in exclusive_vids:
-            if vid not in root:
-                continue
-            a = root[vid]
-            for other in classes.values():
-                if other.index == a or other.kind != classes[a].kind:
-                    continue
-                # Exclusive only against classes with a textual occurrence:
-                # conventional pass-through values do not block a shadow,
-                # matching the flat pass's untouched-register rule.
-                if not (other.vids & textual):
-                    continue
-                adjacency[a].add(other.index)
-                adjacency[other.index].add(a)
-
         nodes = [
             ColorNode(node_id=cls.index, kind=cls.kind, preferred=cls.preferred, fixed=cls.pin)
             for cls in classes.values()
@@ -334,7 +225,6 @@ def allocate(
                 reg = coloring.assignment[cls_index]
                 result.reg_of[vid] = reg
                 liveness.values[vid].assigned_reg = reg
-            result.merges_applied = applied
             result.spilled = spilled
             return result
 
@@ -343,7 +233,7 @@ def allocate(
             for index in sorted(coloring.uncolored)
             if classes[index].pin is None and any(_spillable(liveness.values[v]) for v in classes[index].vids)
         ]
-        if not spill or not to_spill:
+        if not to_spill:
             messages = "; ".join(d.message for d in coloring.diagnostics[:3])
             return AllocationResult(
                 ok=False,

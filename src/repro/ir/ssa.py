@@ -26,6 +26,7 @@ raises :class:`~repro.ir.nodes.IRError`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.dataflow import BACKWARD, UNION, solve_nodes
@@ -33,6 +34,7 @@ from ..analysis.effects import CALL_USES, EXIT_USES, VOLATILES
 from ..isa.opcodes import OpKind
 from ..isa.program import Procedure, Program
 from ..isa.registers import INT, Reg
+from .liveness import value_liveness
 from .nodes import Block, IRError, IRFunction, IRInstr, IRModule, Phi, Value, VReg, verify_ssa
 
 
@@ -286,3 +288,49 @@ def to_ssa(func: IRFunction) -> IRFunction:
             walk.append((child, None))
     verify_ssa(func)
     return func
+
+
+# ----------------------------------------------------------------------
+# Phi webs: the SSA view of the flat web builder's webs
+# ----------------------------------------------------------------------
+@dataclass
+class PhiWebs:
+    """Phi-congruence classes — the SSA analogue of the flat pass's webs.
+
+    The allocator's *coalesce classes* additionally merge tick-disjoint
+    values of the same architectural register (so an unconstrained
+    allocation reproduces the input); that is too coarse to compare with
+    :mod:`repro.compiler.webs`, where two independent webs of ``r5`` stay
+    distinct definitions.  Phi webs keep them apart.
+    """
+
+    web_of: Dict[int, int]  # vid -> web leader vid
+    ticks: Dict[int, Set[int]]  # leader -> union of member liveness ticks
+    pin: Dict[int, Optional[object]]  # leader -> calling-convention pin
+
+
+def phi_webs(func: IRFunction) -> PhiWebs:
+    """Union every phi with its arguments; one web per resulting class."""
+    liveness = value_liveness(func)
+    root = {vid: vid for vid in liveness.values}
+
+    def find(vid: int) -> int:
+        while root[vid] != vid:
+            root[vid] = root[root[vid]]
+            vid = root[vid]
+        return vid
+
+    for block in func.blocks:
+        for phi in block.phis:
+            for arg in phi.args.values():
+                a, b = find(phi.dst.vid), find(arg.vid)
+                if a != b:
+                    root[b] = a
+
+    webs = PhiWebs(web_of={}, ticks={}, pin={})
+    for vid, value in liveness.values.items():
+        leader = find(vid)
+        webs.web_of[vid] = leader
+        webs.ticks.setdefault(leader, set()).update(liveness.ticks.get(vid, ()))
+        webs.pin[leader] = webs.pin.get(leader) or value.pin
+    return webs

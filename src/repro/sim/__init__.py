@@ -10,7 +10,6 @@ from .functional import (
     run_program,
     stream_program,
 )
-from .jit import JitProgram, jit_decode
 from .machine import ArchState
 from .memory import WORD_BYTES, Memory
 from .trace import TraceRecord
@@ -21,8 +20,6 @@ __all__ = [
     "decode",
     "LaneResult",
     "run_batch",
-    "JitProgram",
-    "jit_decode",
     "FunctionalSimulator",
     "RunResult",
     "SimulationError",

@@ -734,13 +734,12 @@ def run_batch(
     program: Program,
     memories: Sequence[Memory],
     max_instructions: Union[int, Sequence[int]] = 1_000_000,
-    states: Optional[Sequence[ArchState]] = None,
     strict_budget: bool = False,
 ) -> List[LaneResult]:
     """Run ``program`` over ``len(memories)`` lanes simultaneously.
 
-    Each lane owns one :class:`Memory` (mutated in place) and one
-    :class:`ArchState` (fresh ones are created when ``states`` is omitted).
+    Each lane owns one :class:`Memory` (mutated in place) and one fresh
+    :class:`ArchState`.
     ``max_instructions`` is either one shared budget or a per-lane sequence.
     Returns one :class:`LaneResult` per input lane, in input order; lane
     faults are recorded on ``LaneResult.error`` rather than raised, except
@@ -748,12 +747,7 @@ def run_batch(
     index) raises :class:`BudgetExceeded` naming the lane and its pc.
     """
     total_lanes = len(memories)
-    if states is not None and len(states) != total_lanes:
-        raise ValueError(
-            f"states/memories length mismatch: {len(states)} != {total_lanes}"
-        )
-    if states is None:
-        states = [ArchState() for _ in range(total_lanes)]
+    states = [ArchState() for _ in range(total_lanes)]
     if isinstance(max_instructions, int):
         budgets = [max_instructions] * total_lanes
     else:

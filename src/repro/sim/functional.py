@@ -19,6 +19,10 @@ Two execution engines share this class:
   decoded engine reproduces its records, final state and memory bit for bit.
   Select it globally with ``REPRO_SIM_ENGINE=reference``.
 
+Running many datasets of one program at once is not an engine of this class:
+:func:`repro.sim.batched.run_batch` takes the memories and returns one
+:class:`~repro.sim.batched.LaneResult` per lane.
+
 Observers receive each :class:`TraceRecord` as it commits and may also inspect
 the live :class:`ArchState` (the record is delivered *after* the architectural
 write, with the prior destination value preserved in ``record.old_dest``).
@@ -40,14 +44,11 @@ from .trace import TraceRecord
 
 Observer = Callable[[TraceRecord, ArchState], None]
 
-#: Engine used when a simulator is built without an explicit choice.
-#: ``decoded`` (threaded-code core), ``reference`` (the step() oracle),
-#: ``jit`` (hot-block superinstructions, :mod:`repro.sim.jit`) or
-#: ``batched`` (single-lane view of the vectorized tier,
-#: :mod:`repro.sim.batched`).
+#: Engine used when a simulator is built without an explicit choice:
+#: ``decoded`` (threaded-code core) or ``reference`` (the step() oracle).
 DEFAULT_ENGINE = os.environ.get("REPRO_SIM_ENGINE", "decoded")
 
-_ENGINES = ("decoded", "reference", "jit", "batched")
+_ENGINES = ("decoded", "reference")
 
 
 def _metrics():
@@ -372,36 +373,6 @@ class FunctionalSimulator:
         return records
 
     # ------------------------------------------------------------------
-    # Batched engine, single-lane view
-    # ------------------------------------------------------------------
-    def _run_batched_single(self, max_instructions: int) -> None:
-        """Run this simulator's state/memory as lane 0 of a 1-lane batch.
-
-        The vectorized tier retires the lane with its own fault fidelity
-        (error captured per lane); re-raising here plus the shared
-        :meth:`_check_budget` makes the single-lane view byte-identical to
-        the decoded fast path, messages included.
-        """
-        from .batched import run_batch
-
-        lane = run_batch(
-            self.program,
-            [self.memory],
-            max_instructions=max_instructions,
-            states=[self.state],
-        )[0]
-        self.last_result = RunResult(
-            state=self.state,
-            memory=self.memory,
-            instructions=lane.instructions,
-            halted=lane.halted,
-            trace=None,
-        )
-        if lane.error is not None:
-            raise lane.error
-        self._check_budget(lane.halted, lane.instructions, max_instructions, self.state.pc)
-
-    # ------------------------------------------------------------------
     # Public run surface
     # ------------------------------------------------------------------
     def iter_run(self, max_instructions: int = 1_000_000) -> Iterator[TraceRecord]:
@@ -433,14 +404,6 @@ class FunctionalSimulator:
         if not self._observers and self.engine != "reference":
             if collect_trace:
                 trace = self._run_traced(max_instructions)
-            elif self.engine == "jit":
-                from .jit import run_jit_fast
-
-                run_jit_fast(self, max_instructions)
-                trace = None
-            elif self.engine == "batched":
-                self._run_batched_single(max_instructions)
-                trace = None
             else:
                 self._run_fast(max_instructions)
                 trace = None

@@ -9,10 +9,7 @@ Six oracle families, each a callable ``oracle(case)`` registered in
     state, memory and halt status — and both must match the retained
     reference interpreter (``engine="reference"``, the pre-decode ``step()``
     loop) bit for bit, pinning the decoded execution core to its oracle.
-    Two further legs pin the PR-8 execution tiers: the trace-JIT
-    (``engine="jit"``) must match the reference on a full run *and* match
-    the decoded engine on a truncated-budget run that forces guard exits
-    mid-superinstruction, and the batched vectorized tier (``run_batch``)
+    A further leg pins the batched vectorized tier (``run_batch``): it
     must reproduce the reference on lane 0 while a deliberately perturbed
     lane 1 (one flipped memory word, forcing lane divergence) matches a
     decoded run over the identically perturbed memory — fault type, message,
@@ -246,60 +243,9 @@ def check_trace_equivalence(case: GeneratedCase) -> None:
         "decoded halt/commit-count diverges from reference",
     )
 
-    # Fourth leg: the trace-JIT tier.  A full run must match the reference;
-    # a half-budget rerun must match the decoded engine at the same commit
-    # count — truncation lands mid-execution, so the JIT's budget guard has
-    # to fall back to single decoded steps instead of overcommitting a
-    # superinstruction (the seeded-guard-defect self-test lives here).
-    # Generated cases are small (tens of commits), so the hotness threshold
-    # is pinned to 1 for the leg: every multi-instruction block compiles and
-    # the guard discipline is exercised on every case, not just long ones.
-    from ..sim import jit as jit_tier
-
-    saved_threshold = jit_tier.JIT_THRESHOLD
-    jit_tier.JIT_THRESHOLD = 1
-    try:
-        _jit_leg(case, reference, name)
-    finally:
-        jit_tier.JIT_THRESHOLD = saved_threshold
-
-    # Fifth leg: the batched vectorized tier.
+    # Fourth leg: the batched vectorized tier.
     _batched_leg(case, reference, name)
 
-
-def _jit_leg(case: GeneratedCase, reference: RunResult, name: str) -> None:
-    _, jit_full, jit_err = _engine_run(case.program, case.memory(), "jit", MAX_INSTRUCTIONS)
-    _require(jit_err is None, name, f"jit engine faulted on a clean case: {jit_err!r}")
-    _require(
-        (jit_full.halted, jit_full.instructions) == (reference.halted, reference.instructions),
-        name,
-        f"jit halt/commit-count diverges from reference: "
-        f"{(jit_full.halted, jit_full.instructions)} != {(reference.halted, reference.instructions)}",
-    )
-    _require(jit_full.state.state_equal(reference.state), name, "jit final state diverges from reference")
-    _require(jit_full.memory == reference.memory, name, "jit final memory diverges from reference")
-
-    budget = max(1, reference.instructions // 2)
-    dec_sim, dec_cut, dec_cut_err = _engine_run(case.program, case.memory(), "decoded", budget)
-    jit_sim, jit_cut, jit_cut_err = _engine_run(case.program, case.memory(), "jit", budget)
-    _require(
-        (dec_cut_err is None) == (jit_cut_err is None),
-        name,
-        f"truncated jit fault status diverges from decoded: {jit_cut_err!r} vs {dec_cut_err!r}",
-    )
-    _require(
-        jit_cut.instructions == dec_cut.instructions,
-        name,
-        f"truncated jit committed {jit_cut.instructions}, decoded {dec_cut.instructions} "
-        f"(budget {budget}): guard exit overcommitted a superinstruction",
-    )
-    _require(
-        jit_sim.state.pc == dec_sim.state.pc,
-        name,
-        f"truncated jit stopped at pc {jit_sim.state.pc}, decoded at {dec_sim.state.pc}",
-    )
-    _require(jit_cut.state.state_equal(dec_cut.state), name, "truncated jit state diverges from decoded")
-    _require(jit_cut.memory == dec_cut.memory, name, "truncated jit memory diverges from decoded")
 
 #: Companion program for the batched leg: one data-dependent branch plus
 #: disjoint stores per side.  Generated programs are verifier-clean counted

@@ -205,6 +205,15 @@ def test_lint_max_gap_within_tolerance(capsys):
     assert code == 0
 
 
+def test_lint_max_gap_without_reuse_report_is_an_error(capsys):
+    # Without --reuse-report there is no gap to gate; the flag used to be
+    # silently ignored (exit 0).
+    code, out, err = run_cli_err(capsys, "lint", "li", "--max-gap", "0.0")
+    assert code == 2
+    assert "--max-gap requires --reuse-report" in err
+    assert out == ""
+
+
 def test_analyze_workload(capsys):
     code, out = run_cli(capsys, "analyze", "li", "--max-insts", "4000")
     assert code == 0
@@ -326,6 +335,31 @@ def test_fuzz_command_rejects_unknown_oracle():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["fuzz", "--oracle", "nonsense"])
+
+
+def test_fuzz_run_id_without_out_dir_is_an_error(capsys):
+    code, out, err = run_cli_err(capsys, "fuzz", "--runs", "1", "--run-id", "x")
+    assert code == 2
+    assert "--run-id requires --out-dir" in err
+    assert out == ""
+
+
+def test_fuzz_journal_resume_rejects_changed_generator(capsys, tmp_path):
+    out_dir = str(tmp_path / "fuzz")
+    code, out = run_cli(capsys, "fuzz", "--runs", "3", "--seed", "0", "--out-dir", out_dir)
+    assert code == 0 and "3 case(s) checked" in out
+    # The identical command resumes from the journal ...
+    code, out = run_cli(capsys, "fuzz", "--runs", "3", "--seed", "0", "--out-dir", out_dir)
+    assert code == 0 and "3 case(s) checked" in out
+    # ... but other generator flags build other programs: their verdicts
+    # must not be served from this journal.
+    code, out, err = run_cli_err(
+        capsys, "fuzz", "--runs", "3", "--seed", "0", "--out-dir", out_dir,
+        "--frontend", "ir", "--segments", "9",
+    )
+    assert code == 2
+    assert "config fingerprint mismatch" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["suite", "run"])

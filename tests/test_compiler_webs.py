@@ -163,7 +163,7 @@ def test_multi_procedure_join_webs_match_ssa_phi_webs():
     and the two functions' webs are built independently."""
     from repro.ir import raise_program
     from repro.ir.nodes import Value
-    from repro.ir.passes import phi_webs
+    from repro.ir.ssa import phi_webs
 
     program = assemble(MULTI_PROC_JOIN)
     module = raise_program(program)

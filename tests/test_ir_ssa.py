@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa import assemble
 from repro.ir import IRError, Value, raise_program, verify_ssa
-from repro.ir.passes import phi_webs
+from repro.ir.ssa import phi_webs
 
 
 def raised(text):

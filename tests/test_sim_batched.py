@@ -124,22 +124,6 @@ def test_faulting_lane_retires_without_aborting_batch():
 # ----------------------------------------------------------------------
 # Engine plumbing and validation
 # ----------------------------------------------------------------------
-def test_engine_batched_single_run_matches_decoded():
-    workload = make_workload("dotprod")
-    decoded_sim = FunctionalSimulator(
-        workload.program, memory=workload.memory("ref"), engine="decoded"
-    )
-    decoded = decoded_sim.run(max_instructions=50_000)
-    batched_sim = FunctionalSimulator(
-        workload.program, memory=workload.memory("ref"), engine="batched"
-    )
-    batched = batched_sim.run(max_instructions=50_000)
-    assert batched.instructions == decoded.instructions
-    assert batched.halted == decoded.halted
-    assert tuple(batched_sim.state.int_regs) == tuple(decoded_sim.state.int_regs)
-    assert batched_sim.memory._words == decoded_sim.memory._words
-
-
 def test_run_batch_counts_metrics():
     from repro.core.metrics import get_metrics
 

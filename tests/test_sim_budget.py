@@ -116,47 +116,6 @@ def test_batched_per_lane_budgets_retire_at_scalar_pcs():
     assert lanes[2].halted and not lanes[0].halted and not lanes[1].halted
 
 
-# ----------------------------------------------------------------------
-# JIT budget guard: mid-superinstruction exits
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("budget", [TINY_BUDGET, 137, 1000])
-def test_jit_budget_exit_matches_decoded_state(budget):
-    # A budget that lands mid-hot-block forces the JIT's guard to fall back
-    # to single-instruction handlers; commit count, pc, and register state
-    # must be indistinguishable from the decoded engine at the same budget.
-    import repro.sim.jit as jit_tier
-
-    old = jit_tier.JIT_THRESHOLD
-    jit_tier.JIT_THRESHOLD = 1  # compile every block so the guard actually fires
-    try:
-        decoded = _sim("decoded", strict=False)
-        dres = decoded.run(max_instructions=budget)
-        jit = _sim("jit", strict=False)
-        jres = jit.run(max_instructions=budget)
-    finally:
-        jit_tier.JIT_THRESHOLD = old
-    assert jres.instructions == dres.instructions == budget
-    assert jres.halted == dres.halted
-    assert jit.state.pc == decoded.state.pc
-    assert tuple(jit.state.int_regs) == tuple(decoded.state.int_regs)
-    assert tuple(jit.state.fp_regs) == tuple(decoded.state.fp_regs)
-    assert jit.memory._words == decoded.memory._words
-
-
-def test_jit_strict_budget_raises_like_decoded():
-    with pytest.raises(BudgetExceeded) as jit_exc:
-        _sim("jit", strict=True).run(max_instructions=TINY_BUDGET)
-    with pytest.raises(BudgetExceeded) as dec_exc:
-        _sim("decoded", strict=True).run(max_instructions=TINY_BUDGET)
-    assert str(jit_exc.value) == str(dec_exc.value)
-
-
-def test_jit_default_budget_truncates():
-    result = _sim("jit", strict=False).run(max_instructions=TINY_BUDGET)
-    assert result.instructions == TINY_BUDGET
-    assert not result.halted
-
-
 def test_prepare_stream_entry_cap():
     program, memory = make_workload("li").build("ref")
     sim = FunctionalSimulator(program, memory=memory)

@@ -144,3 +144,10 @@ def test_trace_is_architecturally_consistent(seed):
             regs[dst] = record.result
     for reg, value in regs.items():
         assert result.state.read(reg) == value
+
+
+@pytest.mark.parametrize("engine", ["warp", "jit", "batched"])
+def test_unknown_engine_rejected(engine):
+    program = assemble("halt")
+    with pytest.raises(ValueError, match=r"unknown engine .*\('decoded', 'reference'\)"):
+        FunctionalSimulator(program, engine=engine)

@@ -141,23 +141,6 @@ def test_recovery_invariant_detects_lost_commits(monkeypatch):
         ORACLES["recovery-invariant"](generate_case(0))
 
 
-def test_trace_equivalence_detects_jit_guard_defect(monkeypatch):
-    """Defect: the JIT stops checking the remaining budget before entering a
-    compiled superinstruction (the test-only switch in repro.sim.jit), so a
-    truncated run overshoots its budget mid-block.  The oracle's half-budget
-    jit-vs-decoded comparison must notice."""
-    from repro.sim import jit as jit_tier
-
-    monkeypatch.setattr(jit_tier, "_TEST_SKIP_BUDGET_GUARD", True)
-    for seed in range(10):
-        try:
-            ORACLES["trace-equivalence"](generate_case(seed))
-        except OracleViolation as violation:
-            assert violation.oracle == "trace-equivalence"
-            return
-    pytest.fail("seeded jit guard defect was never detected")
-
-
 def test_trace_equivalence_detects_lane_mask_defect(monkeypatch):
     """Defect: at a divergent branch the batched engine applies the majority
     outcome to *every* lane instead of masking (the test-only switch in
