@@ -1,8 +1,9 @@
 """Perf-guard: the shared SimSession eliminates redundant functional-sim runs.
 
 The architectural trace is machine-independent, so a machine sweep must pay
-the functional simulator exactly once per (workload, program variant) — the
-metrics counters make that auditable.  These guards pin the contract:
+the functional simulator exactly once per (workload, architectural program,
+input) — the metrics counters make that auditable.  These guards pin the
+contract:
 
 * repeating an ``ExperimentRunner.run`` triggers **zero** additional
   functional-sim invocations,
@@ -14,7 +15,10 @@ metrics counters make that auditable.  These guards pin the contract:
   overlay per (workload, variant, predictor fingerprint), and serves every
   other cell from the stream cache,
 * re-running the whole sweep against the warm session is measurably faster
-  and simulates nothing.
+  and simulates nothing,
+* a statically marked (``srvp_*``) variant is the base program modulo RVP
+  hints, so its trace and stream core relabel the base program's instead of
+  re-running the functional simulator or rebuilding the core.
 """
 
 from __future__ import annotations
@@ -36,15 +40,20 @@ SWEEP_POINTS = (16, 32, 48)
 SWEEP_WORKLOADS = ("m88ksim", "li")
 SWEEP_CONFIGS = ("no_predict", "drvp_all")  # both use the 'base' program variant
 
+#: A base config and a marked one; a budget of its own keeps the counters
+#: below independent of the other guards' warm session entries.
+MARKED_CONFIGS = ("no_predict", "srvp_live_lv")
+MARKED_INSTS = GUARD_INSTS + 1
 
-def _run_sweep():
+
+def _run_sweep(workloads=SWEEP_WORKLOADS, configs=SWEEP_CONFIGS, max_instructions=GUARD_INSTS):
     return sweep_machine(
         "iq",
         SWEEP_POINTS,
         lambda iq: replace(table1_config(), iq_int=iq, iq_fp=iq),
-        workloads=SWEEP_WORKLOADS,
-        configs=SWEEP_CONFIGS,
-        max_instructions=GUARD_INSTS,
+        workloads=workloads,
+        configs=configs,
+        max_instructions=max_instructions,
     )
 
 
@@ -101,3 +110,27 @@ def test_sweep_runs_one_funcsim_per_workload_variant(benchmark):
     # The warm sweep still pays the 12 pipeline runs, so the bound is loose;
     # it exists to catch the cache silently disappearing.
     assert warm_seconds < cold_seconds * 1.2
+
+
+def test_marked_variant_relabels_the_base_trace_and_core(benchmark):
+    metrics = get_metrics()
+    names = ("sim.runs", "session.trace.derived", "session.stream.core_builds", "session.stream.core_derived")
+    deltas = {}
+
+    def sweep_each_workload():
+        for workload in SWEEP_WORKLOADS:
+            before = {name: metrics.get(name) for name in names}
+            rows = _run_sweep((workload,), MARKED_CONFIGS, MARKED_INSTS)
+            assert len(rows) == len(SWEEP_POINTS) * len(MARKED_CONFIGS)
+            deltas[workload] = {name: metrics.get(name) - before[name] for name in names}
+
+    run_once(benchmark, sweep_each_workload)
+    for workload in SWEEP_WORKLOADS:
+        # The train pass and the base ref trace are the only funcsim runs;
+        # srvp_live_lv's trace and core relabel the base program's.
+        assert deltas[workload] == {
+            "sim.runs": 2,
+            "session.trace.derived": 1,
+            "session.stream.core_builds": 1,
+            "session.stream.core_derived": 1,
+        }, workload

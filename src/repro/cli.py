@@ -100,9 +100,31 @@ from .uarch.recovery import RecoveryScheme
 from .workloads.suite import WORKLOAD_CLASSES
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type: a rate in [0, 1] (profile rates can never exceed 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-insts", type=int, default=40_000, help="committed-instruction budget per run")
-    parser.add_argument("--threshold", type=float, default=0.8, help="profile predictability threshold")
+    parser.add_argument("--max-insts", type=_positive_int, default=40_000, help="committed-instruction budget per run")
+    parser.add_argument("--threshold", type=_rate, default=0.8, help="profile predictability threshold")
     parser.add_argument("--wide", action="store_true", help="use the Section 7.4 16-wide machine")
     parser.add_argument(
         "--recovery",
@@ -238,27 +260,34 @@ def _run_campaign_cli(args: argparse.Namespace, workloads) -> int:
     return _render_campaign(report, args)
 
 
-def _campaign_flags_need_out_dir(args: argparse.Namespace) -> bool:
-    """Report campaign-only flags given without ``--out-dir`` (True = error).
+def _campaign_flag_errors(args: argparse.Namespace) -> bool:
+    """Report campaign flags that would be silently ignored (True = error).
 
-    ``--store``, ``--workers`` and ``--lease`` act only on a journaled
-    campaign; without ``--out-dir`` they would be silently ignored.
+    ``--store``, ``--workers``, ``--lease`` and ``--run-id`` act only on a
+    journaled campaign, so they need ``--out-dir``; ``--lease`` acts only on
+    the supervised ``--workers`` path; and ``--workers`` sizes the pool
+    itself, so ``--jobs N`` beside it would be dropped.
     """
-    if args.out_dir is not None:
-        return False
-    given = [
-        flag for flag, value in (
-            ("--store", args.store), ("--workers", args.workers), ("--lease", args.lease)
-        ) if value is not None
-    ]
-    for flag in given:
-        print(f"repro: {flag} requires --out-dir (it applies only to a journaled campaign)",
-              file=sys.stderr)
-    return bool(given)
+    errors = []
+    if args.out_dir is None:
+        errors += [
+            f"{flag} requires --out-dir (it applies only to a journaled campaign)"
+            for flag, value in (
+                ("--store", args.store), ("--workers", args.workers),
+                ("--lease", args.lease), ("--run-id", args.run_id),
+            ) if value is not None
+        ]
+    elif args.lease is not None and args.workers is None:
+        errors.append("--lease requires --workers (it applies only to supervised workers)")
+    if args.workers is not None and args.jobs > 1:
+        errors.append("--jobs conflicts with --workers (--workers N sets the pool size)")
+    for error in errors:
+        print(f"repro: {error}", file=sys.stderr)
+    return bool(errors)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if _campaign_flags_need_out_dir(args):
+    if _campaign_flag_errors(args):
         return 2
     if args.resume or args.out_dir:
         if args.out_dir is None:
@@ -285,7 +314,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if _campaign_flags_need_out_dir(args):
+    if _campaign_flag_errors(args):
         return 2
     if args.resume or args.out_dir:
         if args.out_dir is None:
@@ -1146,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="finish an interrupted campaign: restore ok cells from the journal, run the rest",
         )
         sub_parser.add_argument(
-            "--workers", type=int, metavar="N",
+            "--workers", type=_positive_int, metavar="N",
             help="run the campaign under the fault-tolerant supervisor with N "
             "leased worker processes (work stealing, crash recovery)",
         )
@@ -1165,7 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--workload", choices=sorted(WORKLOAD_CLASSES))
     run_parser.add_argument("--config", nargs="+", default=["no_predict", "lvp_all", "drvp_all_dead_lv"])
     run_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for campaign cells (with --out-dir/--resume)"
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes for campaign cells (with --out-dir/--resume)",
     )
     _add_campaign(run_parser)
     _add_common(run_parser)
@@ -1174,7 +1204,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite_parser = sub.add_parser("suite", help="run configurations across all workloads")
     suite_parser.add_argument("--config", nargs="+", default=["no_predict", "lvp_all", "drvp_all_dead_lv"])
     suite_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for (workload x config) fan-out (1 = serial)"
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes for (workload x config) fan-out (1 = serial)",
     )
     _add_campaign(suite_parser)
     _add_common(suite_parser)
@@ -1241,8 +1272,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--reuse-report", action="store_true",
         help="compare static reuse-class estimates against the profiled lists",
     )
-    lint_parser.add_argument("--max-insts", type=int, default=40_000, help="profiling budget for variant construction")
-    lint_parser.add_argument("--threshold", type=float, default=0.8, help="profile predictability threshold")
+    lint_parser.add_argument("--max-insts", type=_positive_int, default=40_000, help="profiling budget for variant construction")
+    lint_parser.add_argument("--threshold", type=_rate, default=0.8, help="profile predictability threshold")
     lint_parser.add_argument(
         "--max-gap", type=float, default=None, metavar="FRACTION",
         help="with --reuse-report: exit 3 when any workload's |static - profiled| "
@@ -1265,8 +1296,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit 1 when any program fails to analyze or symbolic candidates fall behind the heuristic",
     )
-    analyze_parser.add_argument("--max-insts", type=int, default=40_000, help="profiling budget for the overlap report")
-    analyze_parser.add_argument("--threshold", type=float, default=0.8, help="profile predictability threshold")
+    analyze_parser.add_argument("--max-insts", type=_positive_int, default=40_000, help="profiling budget for the overlap report")
+    analyze_parser.add_argument("--threshold", type=_rate, default=0.8, help="profile predictability threshold")
     analyze_parser.set_defaults(fn=_cmd_analyze)
 
     from .testing.oracles import ORACLE_FAMILIES
@@ -1326,7 +1357,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--quick", action="store_true", help="fast smoke mode: m88ksim + mgrid, 20k insts, 2 repeats"
     )
-    bench_parser.add_argument("--max-insts", type=int, default=40_000, help="committed-instruction budget per run")
+    bench_parser.add_argument("--max-insts", type=_positive_int, default=40_000, help="committed-instruction budget per run")
     bench_parser.add_argument("--repeats", type=int, default=3, help="timed repetitions per section (best kept)")
     bench_parser.add_argument(
         "--lanes", type=int, default=None, help="batch width for the batched-engine series (default 32)"

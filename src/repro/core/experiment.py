@@ -117,7 +117,7 @@ class ExperimentRunner:
     are memoized in a shared :class:`~repro.core.session.SimSession`, so any
     number of runners — across machine configurations, sweep points, and
     benchmark modules — run the functional simulator once per (workload,
-    program variant).  Every variant/trace request goes through the session's
+    architectural program, input).  Every variant/trace request goes through the session's
     canonical key function, so an explicit ``threshold=0.8`` and an implicit
     default hit the same cache entry.
     """

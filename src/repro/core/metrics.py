@@ -5,7 +5,11 @@ Every layer of the execution core reports into one :class:`MetricsRegistry`:
 * the functional simulator counts runs and committed instructions,
 * the pipeline counts runs, cycles and its wall time,
 * the :class:`~repro.core.session.SimSession` counts cache hits/misses per
-  artifact kind (trace / profile / program variant),
+  artifact kind (trace / profile / program variant / stream); a trace miss
+  is one functional-sim run, and the relabels that replace runs for marked
+  ``srvp_*`` variants count apart: ``session.trace.derived`` (a trace
+  relabelled from the base trace) and ``session.stream.core_derived`` (a
+  stream core relabelled from the base core),
 * the :class:`~repro.core.session.ParallelSuiteRunner` counts cells, retries,
   timeouts and serial fallbacks.
 

@@ -5,7 +5,11 @@ pure function of the program text and the input seed — it does not depend on
 the machine configuration, the predictor, or the recovery scheme.  The seed
 repo nevertheless re-ran the functional simulator (and re-profiled) for every
 :class:`~repro.core.experiment.ExperimentRunner` instance, so a three-point
-machine sweep paid the functional-sim cost three times per workload.
+machine sweep paid the functional-sim cost three times per workload.  Nor
+does the trace depend on static RVP marks: ``rvp_ld``/``rvp_fld`` are hints,
+architecturally identical to ``ld``/``fld``.  So the functional simulator
+runs once per (workload, architectural program, input), and every
+``srvp_*`` variant's trace and stream core relabel the base program's.
 
 :class:`SimSession` is the fix: one process-wide memo of
 
@@ -19,7 +23,17 @@ machine sweep paid the functional-sim cost three times per workload.
   ``realloc``, its :class:`ReallocReport`,
 * **ref traces** — program variant × input → an immutable record tuple,
   kept in a small LRU (traces dominate resident memory; capacity via
-  ``REPRO_SESSION_TRACE_CAP``, default 32).
+  ``REPRO_SESSION_TRACE_CAP``, default 32).  A marked variant's trace is
+  derived from the base trace (``session.trace.derived``), sharing every
+  record its marks leave unchanged,
+* **stream cores and overlays** — trace key → the predictor-free core and
+  its overlays by predictor fingerprint, in an LRU sharing the traces' byte
+  budget; a marked variant's core relabels the base core
+  (``session.stream.core_derived``).
+
+Input images are populated once per workload instance and input
+(:meth:`~repro.workloads.base.Workload.memory` hands out copies), so they
+go with the workload instances on :meth:`SimSession.reset`.
 
 Cache-keying rules
 ------------------
@@ -60,6 +74,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..compiler.marking import mark_static_rvp
 from ..compiler.realloc import ReallocReport, reallocate
+from ..isa.instructions import Instruction
 from ..isa.program import Program
 from ..profiling.critpath import CriticalPathBuilder
 from ..profiling.lists import ProfileLists
@@ -67,10 +82,10 @@ from ..profiling.reuse import ReuseProfile, ReuseProfileBuilder
 from ..runtime.errors import DETERMINISTIC, classify_failure, is_timeout
 from ..runtime.retry import backoff_delays
 from ..sim.functional import FunctionalSimulator
-from ..sim.trace import TraceRecord
+from ..sim.trace import TraceRecord, relabel_trace
 from ..uarch.config import MachineConfig
 from ..uarch.recovery import RecoveryScheme
-from ..uarch.stream import Stream, StreamCore, prepare_stream
+from ..uarch.stream import Stream, StreamCore, build_core, prepare_stream, relabel_core
 from ..vp.base import ValuePredictor
 from ..workloads.base import Workload
 from ..workloads.suite import make_workload
@@ -165,6 +180,9 @@ class SimSession:
         self._lists: Dict[Tuple[str, float, int, float, bool], ProfileLists] = {}
         self._programs: Dict[Tuple, Program] = {}
         self._realloc: Dict[Tuple, ReallocReport] = {}
+        #: program key of a marked variant -> its marks over the base program
+        #: (pc -> marked instruction), checked once at cache fill
+        self._marks: Dict[Tuple, Dict[int, Instruction]] = {}
         self._traces: "OrderedDict[Tuple, Tuple[TraceRecord, ...]]" = OrderedDict()
         self._trace_resident_bytes = 0
         #: trace key -> that trace's core and its cached streams
@@ -286,6 +304,9 @@ class SimSession:
                     program, source=f"workload {name!r} variant {variant!r}",
                     lists=lists, baseline=base,
                 )
+            # The premise of deriving this variant's traces and stream cores
+            # from the base program's: it differs from base by marks alone.
+            self._marks[key] = program.rvp_marks_over(base)
         elif variant == "realloc":
             artifacts = self.train_artifacts(name, scale, max_instructions)
             lists = self.profile_lists(name, scale, max_instructions, eff_threshold, loads_only=False)
@@ -326,21 +347,39 @@ class SimSession:
         for the same canonical key are cache hits and run no simulation.
         """
         variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
-        key = (name, scale, max_instructions, variant, eff_threshold, input_name)
+        return self._trace((name, scale, max_instructions, variant, eff_threshold, input_name))
+
+    def _trace(self, key: Tuple) -> Tuple[TraceRecord, ...]:
+        """:meth:`ref_trace` on a canonical key.
+
+        A marked (``srvp_*``) variant is not simulated: its ``rvp_*``
+        opcodes are hints, architecturally identical to the plain loads
+        (:meth:`~repro.isa.program.Program.rvp_marks_over` checked that at
+        cache fill), so its trace is the base trace on the same input with
+        the marked instruction substituted in the marked pcs' records.
+        """
         metrics = get_metrics()
         trace = self._traces.get(key)
         if trace is not None:
             self._traces.move_to_end(key)
             metrics.inc("session.trace.hits")
             return trace
-        metrics.inc("session.trace.misses")
-        program = self.program_variant(name, scale, max_instructions, variant, eff_threshold, default_threshold)
-        memory = self.workload(name, scale).memory(input_name)
-        sim = FunctionalSimulator(program, memory=memory)
-        with metrics.timer("sim.wall"):
-            # run(collect_trace=True) takes the eager decoded path (no
-            # generator suspension per record) when no observers are attached.
-            trace = tuple(sim.run(max_instructions=max_instructions, collect_trace=True).trace)
+        name, scale, max_instructions, variant, eff_threshold, input_name = key
+        # The key's threshold is canonical already, so it is its own default.
+        program = self.program_variant(name, scale, max_instructions, variant, eff_threshold, eff_threshold)
+        marks = self._marks.get(key[:5])
+        if marks is not None:
+            base = self._trace((name, scale, max_instructions, "base", None, input_name))
+            trace = relabel_trace(base, marks)
+            metrics.inc("session.trace.derived")
+        else:
+            metrics.inc("session.trace.misses")
+            memory = self.workload(name, scale).memory(input_name)
+            sim = FunctionalSimulator(program, memory=memory)
+            with metrics.timer("sim.wall"):
+                # run(collect_trace=True) takes the eager decoded path (no
+                # generator suspension per record) when no observers are attached.
+                trace = tuple(sim.run(max_instructions=max_instructions, collect_trace=True).trace)
         self._traces[key] = trace
         self._trace_resident_bytes += self._trace_cost(trace)
         # Evict on either pressure axis — entry count or estimated bytes —
@@ -402,10 +441,16 @@ class SimSession:
             trace = self.ref_trace(
                 name, scale, max_instructions, variant, eff_threshold, default_threshold, input_name
             )
-            stream = prepare_stream(trace, predictor)
-            metrics.inc("session.stream.core_builds")
-            cached = self._streams[key] = _TraceStreams(stream.core, self._core_cost(stream.core))
-            self._stream_resident_bytes += cached.bytes
+            if key[:5] in self._marks:
+                # A marked variant's trace relabels the base trace (see
+                # _trace), so its core relabels the base core.
+                base_core = self._base_core(key)
+                stream = prepare_stream(None, predictor, core=relabel_core(base_core, trace))
+                metrics.inc("session.stream.core_derived")
+            else:
+                stream = prepare_stream(trace, predictor)
+                metrics.inc("session.stream.core_builds")
+            cached = self._cache_core(key, stream.core)
         if fingerprint is None:
             metrics.inc("session.stream.uncacheable")
         else:
@@ -423,6 +468,23 @@ class SimSession:
             self._stream_resident_bytes -= evicted.bytes
             metrics.inc("session.stream.evictions")
         return stream
+
+    def _cache_core(self, key: Tuple, core: StreamCore) -> _TraceStreams:
+        cached = self._streams[key] = _TraceStreams(core, self._core_cost(core))
+        self._stream_resident_bytes += cached.bytes
+        return cached
+
+    def _base_core(self, key: Tuple) -> StreamCore:
+        """The base program's stream core on ``key``'s input, built and
+        cached if absent.  A lookup leaves the LRU order as it is."""
+        name, scale, max_instructions, _, _, input_name = key
+        base_key = (name, scale, max_instructions, "base", None, input_name)
+        cached = self._streams.get(base_key)
+        if cached is None:
+            trace = self._trace(base_key)
+            cached = self._cache_core(base_key, build_core(trace))
+            get_metrics().inc("session.stream.core_builds")
+        return cached.core
 
     # ------------------------------------------------------------------
     # Batched digests (one fused run per program across its inputs)
@@ -519,6 +581,7 @@ class SimSession:
         self._lists.clear()
         self._programs.clear()
         self._realloc.clear()
+        self._marks.clear()
         self._traces.clear()
         self._trace_resident_bytes = 0
         self._streams.clear()

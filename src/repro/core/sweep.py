@@ -50,9 +50,11 @@ def sweep_machine(
     """Run ``configs`` x ``workloads`` at every sweep point; returns IPCs.
 
     The architectural trace does not depend on the machine configuration, so
-    all sweep points share one functional-sim run per (workload, program
-    variant) through the process-wide :class:`~repro.core.session.SimSession`
-    — only the cycle-level pipeline re-runs per point.
+    all sweep points share one functional-sim run per (workload,
+    architectural program, input) through the process-wide
+    :class:`~repro.core.session.SimSession` — only the cycle-level pipeline
+    re-runs per point.  Statically marked (``srvp_*``) variants are the base
+    program modulo RVP hints, so they share the base program's run too.
 
     With a :class:`~repro.runtime.journal.RunJournal` attached, every sweep
     cell (``<name>=<point>/<workload>/<config>``) is committed durably as it

@@ -196,6 +196,34 @@ class Program:
         new_insts = [fn(inst) for inst in self.instructions]
         return Program(new_insts, self.labels, name or self.name, self.procedures, source_map=self.source_map)
 
+    def rvp_marks_over(self, base: "Program") -> Dict[int, Instruction]:
+        """The instructions at which this program differs from ``base``.
+
+        Every difference must be a static RVP mark alone (``ld`` vs
+        ``rvp_ld``, ``fld`` vs ``rvp_fld``).  The marked opcodes are hints,
+        architecturally identical to the plain loads, so such a program
+        commits the same dynamic sequence as ``base`` on every input.  Raises
+        :class:`ValueError` on any other difference: length, procedures, or
+        an instruction that still differs once both marks are stripped.
+        """
+        if len(self) != len(base) or self.procedures != base.procedures:
+            raise ValueError(
+                f"{self.name!r} is not {base.name!r} modulo RVP marks: "
+                f"{len(self)} vs {len(base)} instructions, procedures "
+                f"{'differ' if self.procedures != base.procedures else 'match'}"
+            )
+        marks: Dict[int, Instruction] = {}
+        for pc, (inst, base_inst) in enumerate(zip(self.instructions, base.instructions)):
+            if inst == base_inst:
+                continue
+            if inst.without_rvp_mark() != base_inst.without_rvp_mark():
+                raise ValueError(
+                    f"{self.name!r} is not {base.name!r} modulo RVP marks: pc {pc} is "
+                    f"{inst.render()!r}, base has {base_inst.render()!r}"
+                )
+            marks[pc] = inst
+        return marks
+
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ everything the profilers and the Figure 1 analysis need:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from ..isa.instructions import Instruction
 from ..isa.registers import Reg
@@ -56,3 +56,29 @@ class TraceRecord:
         """True when the instruction produced the value already in its
         destination register — i.e. a correct same-register RVP prediction."""
         return self.result is not None and self.result == self.old_dest
+
+
+def relabel_trace(
+    trace: Sequence[TraceRecord], insts: Mapping[int, Instruction]
+) -> Tuple[TraceRecord, ...]:
+    """``trace`` with each record at a pc in ``insts`` re-issued for that
+    instruction; every other record object is shared, not copied.
+
+    Exact only when each replacement is architecturally identical to the
+    instruction it replaces (an RVP mark; see
+    :meth:`~repro.isa.program.Program.rvp_marks_over`): the committed values,
+    addresses and control flow are then the same, so only ``inst`` changes.
+    """
+    get = insts.get
+    relabelled = []
+    append = relabelled.append
+    for record in trace:
+        inst = get(record.pc)
+        if inst is None:
+            append(record)
+        else:
+            append(TraceRecord(
+                record.seq, record.pc, inst, record.next_pc, record.result, record.old_dest,
+                record.src_values, record.addr, record.store_value, record.taken,
+            ))
+    return tuple(relabelled)

@@ -7,7 +7,7 @@ from .fast import FastDynInst, FastPipelineSimulator
 from .pipeline import PIPELINE_ENGINES, DynInst, PipelineSimulator, simulate
 from .recovery import RecoveryScheme
 from .stats import SimStats
-from .stream import CoreEntry, Stream, StreamCore, prepare_stream
+from .stream import CoreEntry, Stream, StreamCore, build_core, prepare_stream, relabel_core
 
 __all__ = [
     "BranchPredictor",
@@ -28,5 +28,7 @@ __all__ = [
     "CoreEntry",
     "Stream",
     "StreamCore",
+    "build_core",
     "prepare_stream",
+    "relabel_core",
 ]

@@ -25,7 +25,7 @@ remain dynamic; the cycle engine handles those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..isa.instructions import Instruction
 from ..isa.opcodes import FuClass, OpKind
@@ -119,13 +119,27 @@ class Stream:
         return len(self.core.entries)
 
 
-def _fu_of(record: TraceRecord) -> Tuple[str, str]:
-    op = record.inst.op
+def _fu_of(inst: Instruction) -> Tuple[str, str]:
+    op = inst.op
     if op.is_mem:
         return "ldst", "fp" if op.fp_dest and op.is_load else "int"
     if op.fu is FuClass.FP:
         return "fp", "fp"
     return "int", "int"
+
+
+def _static_facts(inst: Instruction) -> Tuple:
+    """``(fu, iq, latency, read_ids, is_load, is_store, dst_id, is_halt,
+    is_control, cond_branch)``: everything a core entry takes from the
+    static instruction."""
+    fu, iq = _fu_of(inst)
+    read_ids = tuple(None if src.is_zero else reg_id(src) for src in inst.reads)
+    dst = inst.writes
+    return (
+        fu, iq, inst.op.latency, read_ids, inst.op.is_load, inst.op.is_store,
+        reg_id(dst) if dst is not None else None,
+        inst.is_halt, inst.is_control, inst.op.kind is OpKind.BRANCH,
+    )
 
 
 def prepare_stream(
@@ -151,14 +165,14 @@ def prepare_stream(
     instead of materializing an arbitrarily large stream.
     """
     if core is None:
-        core = _build_core(trace, max_entries)
+        core = build_core(trace, max_entries)
     elif max_entries is not None and len(core) > max_entries:
         raise BudgetExceeded(f"stream budget exhausted: core holds more than {max_entries} records")
     overlay, candidates = _build_overlay(core, predictor)
     return Stream(core, overlay, candidates)
 
 
-def _build_core(trace: Iterable[TraceRecord], max_entries: Optional[int]) -> StreamCore:
+def build_core(trace: Iterable[TraceRecord], max_entries: Optional[int] = None) -> StreamCore:
     """The predictor-free pass: dependences and pre-decoded timing facts.
 
     Everything that is a pure function of the *static* instruction — FU/IQ
@@ -172,8 +186,7 @@ def _build_core(trace: Iterable[TraceRecord], max_entries: Optional[int]) -> Str
     last_writer: Dict[int, int] = {}
     last_store: Dict[int, int] = {}
     lw_get = last_writer.get
-    #: pc -> (fu, iq, latency, read_ids, is_load, is_store, dst_id, is_halt,
-    #:        is_control, cond_branch) — the static facts of one instruction.
+    #: pc -> the static facts of its instruction (:func:`_static_facts`)
     static_cache: Dict[int, Tuple] = {}
 
     for record in trace:
@@ -187,14 +200,7 @@ def _build_core(trace: Iterable[TraceRecord], max_entries: Optional[int]) -> Str
         static = static_cache.get(pc)
         if static is None:
             inst = insts[pc] = record.inst
-            fu, iq = _fu_of(record)
-            read_ids = tuple(None if src.is_zero else reg_id(src) for src in inst.reads)
-            dst = inst.writes
-            static = static_cache[pc] = (
-                fu, iq, inst.op.latency, read_ids, inst.op.is_load, inst.op.is_store,
-                reg_id(dst) if dst is not None else None,
-                inst.is_halt, inst.is_control, inst.op.kind is OpKind.BRANCH,
-            )
+            static = static_cache[pc] = _static_facts(inst)
         fu, iq, latency, read_ids, is_load, is_store, dst_id, is_halt, is_control, cond_branch = static
 
         deps = tuple(lw_get(rid) if rid is not None else None for rid in read_ids)
@@ -221,6 +227,46 @@ def _build_core(trace: Iterable[TraceRecord], max_entries: Optional[int]) -> Str
         if is_store and addr is not None:
             last_store[addr] = seq
     return StreamCore(entries, insts)
+
+
+def relabel_core(core: StreamCore, trace: Sequence[TraceRecord]) -> StreamCore:
+    """The core of ``trace``, derived from ``core`` instead of rebuilt.
+
+    ``trace`` must be a relabelling of the trace ``core`` was built from
+    (:func:`~repro.sim.trace.relabel_trace`): the same records, some of them
+    re-issued for an RVP-marked twin of their instruction.  Dependences are
+    a function of the dynamic register and address sequence, which a mark
+    does not change, so every entry whose record object the trace shares is
+    reused as is, and every other record gets a copy of its entry.  Raises
+    :class:`ValueError` when the trace is not such a relabelling: a length
+    or pc mismatch, or a new instruction whose timing facts differ.
+    """
+    entries = core.entries
+    if len(trace) != len(entries):
+        raise ValueError(f"relabelled trace holds {len(trace)} records, core {len(entries)}")
+    relabelled: List[CoreEntry] = []
+    append = relabelled.append
+    insts = dict(core.insts)
+    for entry, record in zip(entries, trace):
+        if record is entry.record:
+            append(entry)
+            continue
+        pc = record.pc
+        if pc != entry.pc:
+            raise ValueError(f"record {record.seq} is at pc {pc}, its core entry at pc {entry.pc}")
+        inst = record.inst
+        if insts[pc] is not inst:
+            if _static_facts(inst) != _static_facts(core.insts[pc]):
+                raise ValueError(f"pc {pc}: {inst.render()!r} has other timing facts than the core's")
+            insts[pc] = inst
+        append(
+            CoreEntry(
+                entry.seq, record, entry.fu, entry.iq, entry.base_latency, entry.src_deps,
+                entry.store_dep, entry.dst_old_writer, entry.is_load, entry.is_store,
+                entry.is_halt, entry.is_control, entry.cond_branch, entry.dep_seqs,
+            )
+        )
+    return StreamCore(relabelled, insts)
 
 
 def _build_overlay(

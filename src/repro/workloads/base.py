@@ -58,6 +58,8 @@ class Workload(abc.ABC):
             raise ValueError("scale must be positive")
         self.scale = scale
         self._program: Optional[Program] = None
+        #: input name -> its populated image, never handed out (see memory())
+        self._images: Dict[str, Memory] = {}
 
     # ------------------------------------------------------------------
     # Subclass interface
@@ -86,10 +88,18 @@ class Workload(abc.ABC):
         return zlib.crc32(f"{self.name}:{input_name}".encode())
 
     def memory(self, input_name: str = "ref") -> Memory:
-        rng = np.random.default_rng(self.seed(input_name))
-        memory = Memory()
-        self._populate_memory(memory, rng)
-        return memory
+        """A fresh copy of one input image.
+
+        The image is populated once per instance and input; every call
+        returns its own copy, because the functional simulator mutates the
+        memory it is given.
+        """
+        image = self._images.get(input_name)
+        if image is None:
+            image = Memory()
+            self._populate_memory(image, np.random.default_rng(self.seed(input_name)))
+            self._images[input_name] = image
+        return image.copy()
 
     def build(self, input_name: str = "ref") -> Tuple[Program, Memory]:
         return self.program, self.memory(input_name)

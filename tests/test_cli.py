@@ -363,7 +363,9 @@ def test_fuzz_journal_resume_rejects_changed_generator(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["suite", "run"])
-@pytest.mark.parametrize("flag, value", [("--store", None), ("--workers", "2"), ("--lease", "5")])
+@pytest.mark.parametrize(
+    "flag, value", [("--store", None), ("--workers", "2"), ("--lease", "5"), ("--run-id", "x")]
+)
 def test_campaign_flags_without_out_dir_are_errors(capsys, tmp_path, command, flag, value):
     # Without --out-dir these flags used to be silently ignored.
     value = value or str(tmp_path / "store")
@@ -375,3 +377,61 @@ def test_campaign_flags_without_out_dir_are_errors(capsys, tmp_path, command, fl
     assert f"{flag} requires --out-dir" in err
     assert out == ""
     assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("command", ["suite", "run"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--lease", "5"], "--lease requires --workers"),
+        (["--workers", "2", "--jobs", "2"], "--jobs conflicts with --workers"),
+    ],
+    ids=["lease-without-workers", "jobs-with-workers"],
+)
+def test_campaign_flags_the_chosen_path_ignores_are_errors(capsys, tmp_path, command, extra, message):
+    # --lease acts only under --workers, and --workers sizes the pool that
+    # --jobs would otherwise size: either one used to be dropped silently.
+    argv = [command, "--config", "no_predict", "--max-insts", "1500", "--out-dir", str(tmp_path / "runs")]
+    if command == "run":
+        argv += ["--workload", "go"]
+    code, out, err = run_cli_err(capsys, *argv, *extra)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["suite", "--max-insts", "0"], "argument --max-insts: must be >= 1, got 0"),
+        (["run", "--workload", "go", "--threshold", "1.5"], "argument --threshold: must be in [0, 1], got 1.5"),
+        (["run", "--workload", "go", "--threshold", "-0.1"], "argument --threshold: must be in [0, 1]"),
+        (["suite", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+        (["run", "--workload", "go", "--jobs", "0"], "argument --jobs: must be >= 1"),
+        (["suite", "--out-dir", "runs", "--workers", "0"], "argument --workers: must be >= 1"),
+        (["metrics", "--max-insts", "-5"], "argument --max-insts: must be >= 1, got -5"),
+        (["lint", "li", "--max-insts", "0"], "argument --max-insts: must be >= 1"),
+        (["lint", "li", "--threshold", "2"], "argument --threshold: must be in [0, 1]"),
+        (["analyze", "li", "--max-insts", "0"], "argument --max-insts: must be >= 1"),
+        (["analyze", "li", "--threshold", "1.01"], "argument --threshold: must be in [0, 1]"),
+        (["bench", "--max-insts", "0"], "argument --max-insts: must be >= 1"),
+        (["suite", "--max-insts", "many"], "argument --max-insts: invalid int value: 'many'"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+)
+def test_out_of_range_values_are_rejected_at_parse_time(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_range_bounds_are_accepted():
+    args = build_parser().parse_args(
+        ["run", "--workload", "go", "--max-insts", "1", "--threshold", "1", "--jobs", "1"]
+    )
+    assert (args.max_insts, args.threshold, args.jobs) == (1, 1.0, 1)
+    assert build_parser().parse_args(["lint", "--threshold", "0"]).threshold == 0.0

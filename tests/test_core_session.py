@@ -13,8 +13,11 @@ from repro.core import (
     get_metrics,
     get_session,
 )
+from repro.compiler.marking import MARKING_LEVELS
+from repro.sim.functional import FunctionalSimulator
 from repro.uarch.config import table1_config
 from repro.uarch.recovery import RecoveryScheme
+from repro.workloads.suite import WORKLOAD_CLASSES
 
 MAX_INSTS = 4_000
 
@@ -325,3 +328,83 @@ def test_suite_runner_retry_deadline_defaults_to_cell_timeout():
     assert runner.retry_deadline == runner.cell_timeout
     capped = ParallelSuiteRunner(jobs=1, retry_deadline=0.25, **SUITE_KW)
     assert capped.retry_deadline == 0.25
+
+
+# ----------------------------------------------------------------------
+# Marked variants: one funcsim run per (workload, architectural program, input)
+# ----------------------------------------------------------------------
+DERIVE_INSTS = 1_500
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CLASSES))
+def test_marked_trace_is_derived_and_equals_simulation(name):
+    """Every srvp_* trace relabels the base trace instead of re-simulating,
+    and equals a fresh functional run of the marked program."""
+    session = SimSession()
+    metrics = get_metrics()
+    base = session.ref_trace(name, 1.0, DERIVE_INSTS)
+    runs0, misses0 = metrics.get("sim.runs"), metrics.get("session.trace.misses")
+    derived0 = metrics.get("session.trace.derived")
+    for level in MARKING_LEVELS:
+        variant = f"srvp_{level}"
+        trace = session.ref_trace(name, 1.0, DERIVE_INSTS, variant, None, 0.8)
+        program = session.program_variant(name, 1.0, DERIVE_INSTS, variant, None, 0.8)
+        memory = session.workload(name, 1.0).memory("ref")
+        fresh = FunctionalSimulator(program, memory=memory).run(
+            max_instructions=DERIVE_INSTS, collect_trace=True
+        ).trace
+        assert trace == tuple(fresh), (name, variant)
+        marks = program.rvp_marks_over(session.workload(name, 1.0).program)
+        for record, base_record in zip(trace, base):
+            assert (record is base_record) == (record.pc not in marks)
+    # The fresh runs above are this test's own; the session ran none.
+    assert metrics.get("sim.runs") - runs0 == len(MARKING_LEVELS) + 1  # + the train pass
+    assert metrics.get("session.trace.misses") == misses0
+    assert metrics.get("session.trace.derived") - derived0 == len(MARKING_LEVELS)
+
+
+def test_rvp_marks_over_rejects_any_other_difference():
+    from repro.isa import assemble
+
+    base = assemble("ld r1, 0x100(r31)\nadd r2, r1, #1\nhalt")
+    marked = assemble("rvp_ld r1, 0x100(r31)\nadd r2, r1, #1\nhalt")
+    assert marked.rvp_marks_over(base) == {0: marked[0]}
+    assert base.rvp_marks_over(base) == {}
+    for other in (
+        "rvp_ld r1, 0x100(r31)\nadd r2, r1, #2\nhalt",  # an operand
+        "rvp_ld r3, 0x100(r31)\nadd r2, r1, #1\nhalt",  # the marked load's own register
+        "ld r1, 0x100(r31)\nsub r2, r1, #1\nhalt",  # an opcode that is not a mark
+        "rvp_ld r1, 0x100(r31)\nadd r2, r1, #1\nnop\nhalt",  # the length
+    ):
+        with pytest.raises(ValueError, match="modulo RVP marks"):
+            assemble(other).rvp_marks_over(base)
+
+
+def test_marked_variant_that_is_not_marks_only_is_rejected_at_fill(monkeypatch):
+    """No fallback: a marking pass that changed anything but marks fails the
+    variant's cache fill, before a trace could be derived from it."""
+    import repro.core.session as session_module
+
+    def bad_marking(program, lists, level, verify=None):
+        return program.rewrite(lambda inst: inst.as_rvp_marked() if inst.is_load else inst.with_opcode("nop"))
+
+    monkeypatch.setattr(session_module, "mark_static_rvp", bad_marking)
+    monkeypatch.setenv("REPRO_VERIFY_PASSES", "0")
+    session = SimSession()
+    with pytest.raises(ValueError, match="modulo RVP marks"):
+        session.ref_trace("m88ksim", 1.0, DERIVE_INSTS, "srvp_same", None, 0.8)
+    assert not session._traces and not session._marks
+
+
+def test_workload_memory_returns_equal_independent_images():
+    session = SimSession()
+    workload = session.workload("li", 1.0)
+    first = workload.memory("ref")
+    second = workload.memory("ref")
+    assert first == second and first is not second
+    address, value = next(first.nonzero_words())
+    first.store(address, value ^ 1)
+    assert workload.memory("ref") == second  # the mutation did not leak
+    assert workload.memory("train") != second
+    session.reset()
+    assert session.workload("li", 1.0) is not workload

@@ -1,11 +1,16 @@
 """Stream preparation tests: core dependences and overlay prediction flags."""
 
+import pytest
+
+from repro.compiler.marking import MARKING_LEVELS
 from repro.isa import R, assemble
 from repro.profiling import DeadHint, ProfileLists
 from repro.sim import Memory, run_program
-from repro.uarch import prepare_stream
+from repro.sim.trace import relabel_trace
+from repro.uarch import CoreEntry, build_core, prepare_stream, relabel_core
 from repro.vp.base import SourceKind
 from repro.vp import DynamicRVP, LastValuePredictor, NoPredictor
+from repro.workloads.suite import WORKLOAD_CLASSES
 
 
 def trace_of(text, memory=None):
@@ -166,3 +171,58 @@ def test_needs_port_only_for_register_sourced_non_loads():
         if rvp_slot is not None:
             assert rvp_slot[4] is (not entry.is_load)
             assert lvp_slot[4] is False  # table-backed: no register read
+
+
+def _entry_fields(entry):
+    return tuple(getattr(entry, name) for name in CoreEntry.__slots__)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CLASSES))
+def test_relabelled_core_equals_core_of_simulated_marked_trace(name):
+    """The srvp_* core relabels the base core: every entry field and the
+    ``insts`` order equal a core built from a fresh run of the marked
+    program, and a StaticRVP overlay over either core is the same."""
+    from repro.core.experiment import ExperimentRunner
+    from repro.core.session import SimSession
+    from repro.sim.functional import FunctionalSimulator
+
+    budget = 1_500
+    runner = ExperimentRunner(name, max_instructions=budget, session=SimSession())
+    base_core = build_core(runner.ref_trace("base"))
+    for level in MARKING_LEVELS:
+        config = f"srvp_{level}"
+        variant, predictor = runner._build(config, None)
+        program = runner.program_variant(variant)
+        fresh_trace = FunctionalSimulator(program, memory=runner.workload.memory("ref")).run(
+            max_instructions=budget, collect_trace=True
+        ).trace
+        fresh = build_core(fresh_trace)
+        relabelled = relabel_core(base_core, runner.ref_trace(variant))
+        assert [_entry_fields(e) for e in relabelled.entries] == [_entry_fields(e) for e in fresh.entries]
+        assert list(relabelled.insts.items()) == list(fresh.insts.items())
+        over_relabelled = prepare_stream(None, predictor, core=relabelled)
+        over_fresh = prepare_stream(None, predictor, core=fresh)
+        assert over_relabelled.overlay == over_fresh.overlay, config
+        assert over_relabelled.candidates == over_fresh.candidates
+        # The session serves the relabelled core too.
+        served, _ = runner.pipeline_stream(config)
+        assert [_entry_fields(e) for e in served.core.entries] == [_entry_fields(e) for e in fresh.entries]
+
+
+def test_relabel_core_shares_unchanged_entries_and_rejects_other_traces():
+    memory = Memory()
+    memory.store(0x100, 7)
+    trace = trace_of(LOOP, memory)
+    core = build_core(trace)
+    marked_load = assemble(LOOP.replace("ld r1", "rvp_ld r1"))[1]
+    relabelled_trace = relabel_trace(trace, {1: marked_load})
+    relabelled = relabel_core(core, relabelled_trace)
+    for old, new, record in zip(core.entries, relabelled.entries, relabelled_trace):
+        assert (new is old) == (record.pc != 1)
+        assert new.record is record
+    assert relabelled.insts[1] is marked_load and core.insts[1] is not marked_load
+    with pytest.raises(ValueError):
+        relabel_core(core, relabelled_trace[:-1])  # not the same length
+    other = assemble(LOOP.replace("add r3, r1, #1", "mul r3, r1, #1"))[2]
+    with pytest.raises(ValueError, match="timing facts"):
+        relabel_core(core, relabel_trace(trace, {2: other}))
