@@ -18,7 +18,10 @@ contract:
   and simulates nothing,
 * a statically marked (``srvp_*``) variant is the base program modulo RVP
   hints, so its trace and stream core relabel the base program's instead of
-  re-running the functional simulator or rebuilding the core.
+  re-running the functional simulator or rebuilding the core,
+* inside one grid, cells that pose the same timing problem (hint
+  configurations that add no hint over their neighbour) run the pipeline
+  once and share its statistics through the session's timing memo.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from conftest import run_once
 
 from repro.core import get_metrics, sweep_machine
 from repro.core.experiment import ExperimentRunner
+from repro.core.session import ParallelSuiteRunner
 from repro.uarch.config import table1_config
 
 #: Distinct budget so these tests never share session keys with the other
@@ -44,6 +48,13 @@ SWEEP_CONFIGS = ("no_predict", "drvp_all")  # both use the 'base' program varian
 #: below independent of the other guards' warm session entries.
 MARKED_CONFIGS = ("no_predict", "srvp_live_lv")
 MARKED_INSTS = GUARD_INSTS + 1
+
+#: Hint configurations that refine their neighbours.  At this budget, on both
+#: guard workloads, the three ``srvp_*`` levels mark the same loads with the
+#: same routing, and ``drvp_dead_lv`` adds no hint over ``drvp_dead``: two
+#: distinct timing problems per workload.
+DUPLICATE_CONFIGS = ("srvp_dead", "srvp_live", "srvp_live_lv", "drvp_dead", "drvp_dead_lv")
+MEMO_INSTS = GUARD_INSTS + 2
 
 
 def _run_sweep(workloads=SWEEP_WORKLOADS, configs=SWEEP_CONFIGS, max_instructions=GUARD_INSTS):
@@ -134,3 +145,24 @@ def test_marked_variant_relabels_the_base_trace_and_core(benchmark):
             "session.stream.core_builds": 1,
             "session.stream.core_derived": 1,
         }, workload
+
+
+def test_suite_grid_simulates_each_timing_problem_once(benchmark):
+    metrics = get_metrics()
+    names = ("pipeline.runs", "session.timing.hits", "session.timing.misses")
+    before = {name: metrics.get(name) for name in names}
+    runner = ParallelSuiteRunner(
+        workloads=SWEEP_WORKLOADS, configs=DUPLICATE_CONFIGS, max_instructions=MEMO_INSTS, jobs=1
+    )
+    report = run_once(benchmark, runner.run)
+    assert not report.failures and len(report.results) == len(SWEEP_WORKLOADS) * len(DUPLICATE_CONFIGS)
+    deltas = {name: metrics.get(name) - before[name] for name in names}
+    assert deltas == {
+        "pipeline.runs": 2 * len(SWEEP_WORKLOADS),
+        "session.timing.hits": 3 * len(SWEEP_WORKLOADS),
+        "session.timing.misses": 2 * len(SWEEP_WORKLOADS),
+    }
+    by_config = {(r.workload, r.config): r.stats for r in report.results}
+    for workload in SWEEP_WORKLOADS:
+        assert by_config[(workload, "srvp_dead")] == by_config[(workload, "srvp_live_lv")]
+        assert by_config[(workload, "drvp_dead")] == by_config[(workload, "drvp_dead_lv")]

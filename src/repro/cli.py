@@ -94,7 +94,7 @@ from typing import List, Optional
 
 from .core.experiment import CONFIG_NAMES, ExperimentRunner
 from .core.results import ResultTable, render_metrics
-from .core.session import ParallelSuiteRunner
+from .core.session import ParallelSuiteRunner, get_session
 from .uarch.config import aggressive_config, table1_config
 from .uarch.recovery import RecoveryScheme
 from .workloads.suite import WORKLOAD_CLASSES
@@ -303,8 +303,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runner = _runner(args, args.workload)
     table = ResultTable()
     scheme = RecoveryScheme.parse(args.recovery)
-    for config in args.config:
-        table.add(runner.run(config, recovery=scheme))
+    with get_session().grid():
+        for config in args.config:
+            table.add(runner.run(config, recovery=scheme))
     print(table.render_ipc(f"{args.workload} (IPC, {scheme.value} recovery)"))
     if "no_predict" in args.config:
         print(table.render_speedup("speedups"))
@@ -342,11 +343,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         for cell, error in report.failures.items():
             print(f"  FAILED {cell.workload}/{cell.config}/{cell.recovery}: {error}")
     else:
-        for name in WORKLOAD_CLASSES:
-            runner = _runner(args, name)
-            for config in args.config:
-                table.add(runner.run(config, recovery=scheme))
-            print(f"  {name} done")
+        with get_session().grid():
+            for name in WORKLOAD_CLASSES:
+                runner = _runner(args, name)
+                for config in args.config:
+                    table.add(runner.run(config, recovery=scheme))
+                print(f"  {name} done")
     print()
     print(table.render_speedup(f"suite speedups ({scheme.value} recovery)"))
     print(table.render_coverage("coverage/accuracy"))
@@ -600,7 +602,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from .analysis.diagnostics import VerificationError, summarize
     from .analysis.verifier import LintConfig, rule_catalog, verify_program
-    from .core.session import get_session
 
     if args.max_gap is not None and not args.reuse_report:
         print("lint: --max-gap requires --reuse-report (it gates the reuse-class gaps)", file=sys.stderr)
@@ -745,7 +746,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         select_rvp_candidates,
         symbolic_reuse_by_depth,
     )
-    from .core.session import get_session
     from .ir.nodes import IRError
     from .isa.opcodes import OpKind
     from .testing import GeneratorConfig, generate_case

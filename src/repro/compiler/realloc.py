@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..analysis.effects import implicit_defs
 from ..isa.instructions import Instruction
 from ..isa.program import Procedure, Program
 from ..isa.registers import ALLOCATABLE_FP, ALLOCATABLE_INT, Reg
@@ -63,6 +64,8 @@ class _LvrCandidate:
     def_web: int
     loop_depth: int
     loop_def_webs: Set[int]
+    #: registers the loop's calls clobber by convention
+    loop_clobbers: Set[Reg]
     critical: int
 
 
@@ -187,7 +190,7 @@ def _reallocate_procedure(
         if cand.def_web in dead_moved:
             continue  # already placed by a dead-register merge
         exclusion = cand.loop_def_webs | neighbours(cand.def_web)
-        taken = {assignment[n] for n in exclusion}
+        taken = {assignment[n] for n in exclusion} | cand.loop_clobbers
         current = assignment[cand.def_web]
         if current not in taken:
             chosen: Optional[Reg] = current
@@ -334,6 +337,7 @@ def _collect_lvr_candidates(
                 def_web=def_web.index,
                 loop_depth=loop.depth,
                 loop_def_webs=loop_webs,
+                loop_clobbers={reg for other_pc in loop.body for reg in implicit_defs(program[other_pc])},
                 critical=critical.get(pc, 0),
             )
         )

@@ -253,18 +253,30 @@ class ExperimentRunner:
         variant, predictor = self._build(config, threshold)
         # The session canonicalizes (variant, threshold) — base variants drop
         # the threshold, others resolve None to this runner's default — so no
-        # per-call-site key arithmetic is needed (or allowed) here.  All
-        # pipeline construction routes through the session's stream cache: a
+        # per-call-site key arithmetic is needed (or allowed) here.  Inside an
+        # open grid (SimSession.grid) a cell that poses the same timing
+        # problem as an earlier cell — equal trace content, overlay routing,
+        # predictor behaviour, machine and recovery — takes a copy of that
+        # cell's statistics and prepares no stream.  Otherwise all pipeline
+        # construction routes through the session's stream cache: a
         # predictor × recovery × threshold grid prepares each trace once per
         # predictor fingerprint, not once per cell.
-        stream = self.session.pipeline_stream(
-            self.workload.name,
-            self.scale,
-            self.max_instructions,
-            predictor,
-            variant,
-            threshold,
-            default_threshold=self.threshold,
+        name = self.workload.name
+        key = self.session.timing_key(
+            name, self.scale, self.max_instructions, predictor, self.machine, recovery,
+            variant, threshold, default_threshold=self.threshold,
         )
-        stats = simulate(None, predictor, self.machine, recovery, stream=stream)
-        return ExperimentResult(self.workload.name, config, recovery.value, stats)
+        stats = self.session.timing_result(key)
+        if stats is None:
+            stream = self.session.pipeline_stream(
+                name,
+                self.scale,
+                self.max_instructions,
+                predictor,
+                variant,
+                threshold,
+                default_threshold=self.threshold,
+            )
+            stats = simulate(None, predictor, self.machine, recovery, stream=stream)
+            self.session.remember_timing(key, stats)
+        return ExperimentResult(name, config, recovery.value, stats)

@@ -10,6 +10,13 @@ Every layer of the execution core reports into one :class:`MetricsRegistry`:
   ``srvp_*`` variants count apart: ``session.trace.derived`` (a trace
   relabelled from the base trace) and ``session.stream.core_derived`` (a
   stream core relabelled from the base core),
+* inside a grid (:meth:`~repro.core.session.SimSession.grid`) the session's
+  timing memo counts ``session.timing.hits`` (a cell took an earlier cell's
+  statistics and ran no pipeline), ``session.timing.misses`` (a cell with a
+  new timing key ran the pipeline) and ``session.timing.uncacheable`` (the
+  predictor has no ``dynamic_fingerprint()``, so the cell always runs);
+  ``pipeline.runs`` and the ``predictor.*`` counters count simulated cells
+  only,
 * the :class:`~repro.core.session.ParallelSuiteRunner` counts cells, retries,
   timeouts and serial fallbacks.
 

@@ -50,6 +50,18 @@ Entries are invalidated only by LRU pressure on the trace cache or an
 explicit :meth:`SimSession.reset` — workload programs and inputs are
 deterministic in ``(name, scale)``, so staleness is impossible.
 
+The timing memo is the one cache keyed by content rather than by names.
+A cell's timing key (:meth:`SimSession.timing_key`) is the workload,
+scale, budget and input; the program's :func:`architectural_digest` (marks
+stripped, so every ``srvp_*`` variant shares its base program's digest);
+the predictor's :func:`routing_digest` (the per-pc overlay plan) and
+``dynamic_fingerprint()``; the machine; and the recovery scheme.  Cells of
+different names — ``srvp_dead`` and ``srvp_live``, ``drvp_dead`` and
+``drvp_dead_lv`` — share a key whenever the profile adds no hint between
+them.  The memo lives only while a grid is open (:meth:`SimSession.grid`):
+a session-lifetime memo would answer every repeated benchmark round from
+memory, and the result store already caches across runs.
+
 :class:`ParallelSuiteRunner` fans (workload × config × recovery) cells out
 over a ``ProcessPoolExecutor``.  Worker processes keep their own module-level
 session, so consecutive cells for the same workload inside one worker reuse
@@ -69,14 +81,16 @@ import os
 import time
 from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor, process
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from ..compiler.marking import mark_static_rvp
 from ..compiler.realloc import ReallocReport, reallocate
 from ..isa.instructions import Instruction
 from ..isa.program import Program
 from ..profiling.critpath import CriticalPathBuilder
+from ..profiling.deadness import reg_id
 from ..profiling.lists import ProfileLists
 from ..profiling.reuse import ReuseProfile, ReuseProfileBuilder
 from ..runtime.errors import DETERMINISTIC, classify_failure, is_timeout
@@ -85,8 +99,9 @@ from ..sim.functional import FunctionalSimulator
 from ..sim.trace import TraceRecord, relabel_trace
 from ..uarch.config import MachineConfig
 from ..uarch.recovery import RecoveryScheme
+from ..uarch.stats import SimStats
 from ..uarch.stream import Stream, StreamCore, build_core, prepare_stream, relabel_core
-from ..vp.base import ValuePredictor
+from ..vp.base import SourceKind, ValuePredictor
 from ..workloads.base import Workload
 from ..workloads.suite import make_workload
 from .metrics import get_metrics
@@ -140,6 +155,35 @@ def canonical_variant_key(
     return (variant, default_threshold if threshold is None else threshold)
 
 
+def architectural_digest(program: Program) -> str:
+    """Content digest of what ``program`` does: every instruction with its
+    static RVP mark stripped, and the procedures.  Programs with equal
+    digests commit the same dynamic sequence on every input, so a marked
+    variant has its base program's digest."""
+    hasher = hashlib.blake2b(digest_size=16)
+    for inst in program.instructions:
+        inst = inst.without_rvp_mark()
+        hasher.update(repr((inst.op.name, inst.dst, inst.src1, inst.src2, inst.imm, inst.target_pc)).encode())
+    hasher.update(repr(program.procedures).encode())
+    return hasher.hexdigest()
+
+
+def routing_digest(program: Program, predictor: ValuePredictor) -> str:
+    """Content digest of the per-pc plan a stream overlay is built from:
+    each candidate's ``(pc, source kind, REG source register, needs_port)``
+    under ``predictor.source()`` (see :func:`repro.uarch.stream._build_overlay`).
+    Equal digests over one stream core give equal overlays."""
+    table_backed = getattr(predictor, "table_backed", False)
+    plan = []
+    for inst in program.instructions:
+        source = predictor.source(inst)
+        if source is None:
+            continue
+        reg = reg_id(source.reg) if source.kind is SourceKind.REG else None
+        plan.append((inst.pc, source.kind.value, reg, not inst.op.is_load and not table_backed))
+    return hashlib.blake2b(repr(plan).encode(), digest_size=16).hexdigest()
+
+
 @dataclass
 class TrainArtifacts:
     """Everything one streamed train-input pass produces."""
@@ -189,6 +233,14 @@ class SimSession:
         self._streams: "OrderedDict[Tuple, _TraceStreams]" = OrderedDict()
         self._stream_resident_bytes = 0
         self._batches: Dict[Tuple, Dict[str, Dict[str, object]]] = {}
+        #: program key -> its :func:`architectural_digest`, taken at fill
+        self._arch_digests: Dict[Tuple, str] = {}
+        #: (program key, predictor static fingerprint) -> routing digest
+        self._routing: Dict[Tuple, str] = {}
+        #: timing key -> the statistics of its first run; a dict only while
+        #: a grid is open (see :meth:`grid`)
+        self._timing: Optional[Dict[Tuple, SimStats]] = None
+        self._grid_depth = 0
 
     @staticmethod
     def _trace_cost(trace: Tuple[TraceRecord, ...]) -> int:
@@ -315,6 +367,7 @@ class SimSession:
         else:
             raise ValueError(f"unknown program variant {variant!r}")
         self._programs[key] = program
+        self._arch_digests[key] = architectural_digest(program)
         return program
 
     def realloc_report(
@@ -487,6 +540,84 @@ class SimSession:
         return cached.core
 
     # ------------------------------------------------------------------
+    # Timing memo (one grid's cells that pose the same timing problem)
+    # ------------------------------------------------------------------
+    @contextmanager
+    def grid(self) -> Iterator[None]:
+        """Open a grid: while it is open, :meth:`timing_key` keys cells and
+        the timing memo holds their statistics.  Re-entrant; the memo is
+        dropped when the outermost grid closes."""
+        if self._grid_depth == 0:
+            self._timing = {}
+        self._grid_depth += 1
+        try:
+            yield
+        finally:
+            self._grid_depth -= 1
+            if self._grid_depth == 0:
+                self._timing = None
+
+    def timing_key(
+        self,
+        name: str,
+        scale: float,
+        max_instructions: int,
+        predictor: ValuePredictor,
+        machine: MachineConfig,
+        recovery: RecoveryScheme,
+        variant: str = "base",
+        threshold: Optional[float] = None,
+        default_threshold: float = 0.8,
+        input_name: str = "ref",
+    ) -> Optional[Tuple]:
+        """The content key of one cell's timing problem, or ``None`` when no
+        grid is open or the predictor has no ``dynamic_fingerprint()``.
+
+        A timing run is a function of the trace, the overlay, the
+        predictor's run-time behaviour, the machine and the recovery scheme.
+        The trace is named by the workload, scale, budget and input plus the
+        variant's :func:`architectural_digest` (marks stripped: timing reads
+        an instruction only for branch facts, and :func:`relabel_core`
+        rejects a mark that changes a timing fact); the overlay by the
+        :func:`routing_digest`; the behaviour by the dynamic fingerprint.
+        """
+        if self._timing is None:
+            return None
+        dynamic = predictor.dynamic_fingerprint()
+        if dynamic is None:
+            get_metrics().inc("session.timing.uncacheable")
+            return None
+        variant, eff_threshold = canonical_variant_key(variant, threshold, default_threshold)
+        program_key = (name, scale, max_instructions, variant, eff_threshold)
+        program = self.program_variant(name, scale, max_instructions, variant, eff_threshold, eff_threshold)
+        routing_key = (program_key, predictor.static_fingerprint())
+        routing = self._routing.get(routing_key)
+        if routing is None:
+            routing = routing_digest(program, predictor)
+            if routing_key[1] is not None:  # never cache an uncacheable routing
+                self._routing[routing_key] = routing
+        return (
+            name, scale, max_instructions, input_name, self._arch_digests[program_key],
+            routing, dynamic, machine, recovery,
+        )
+
+    def timing_result(self, key: Optional[Tuple]) -> Optional[SimStats]:
+        """A copy of the statistics memoized under ``key``, or ``None``."""
+        if key is None or self._timing is None:
+            return None
+        stats = self._timing.get(key)
+        if stats is None:
+            get_metrics().inc("session.timing.misses")
+            return None
+        get_metrics().inc("session.timing.hits")
+        return replace(stats)
+
+    def remember_timing(self, key: Optional[Tuple], stats: SimStats) -> None:
+        """Memoize a copy of ``stats`` under ``key`` (a no-op outside a grid)."""
+        if key is not None and self._timing is not None:
+            self._timing[key] = replace(stats)
+
+    # ------------------------------------------------------------------
     # Batched digests (one fused run per program across its inputs)
     # ------------------------------------------------------------------
     @staticmethod
@@ -572,6 +703,7 @@ class SimSession:
             "streams": sum(len(cached.streams) for cached in self._streams.values()),
             "stream_bytes": self._stream_resident_bytes,
             "batch_digests": len(self._batches),
+            "timing_memo": len(self._timing) if self._timing is not None else 0,
         }
 
     def reset(self) -> None:
@@ -587,6 +719,10 @@ class SimSession:
         self._streams.clear()
         self._stream_resident_bytes = 0
         self._batches.clear()
+        self._arch_digests.clear()
+        self._routing.clear()
+        if self._timing is not None:
+            self._timing.clear()
 
 
 #: The process-wide session every ExperimentRunner shares by default.
@@ -751,6 +887,11 @@ class ParallelSuiteRunner:
 
     # ------------------------------------------------------------------
     def run(self) -> SuiteReport:
+        # One grid: cells run in this process share the timing memo.
+        with get_session().grid():
+            return self._run()
+
+    def _run(self) -> SuiteReport:
         metrics = get_metrics()
         metrics.inc("pool.cells", len(self.cells))
         report = SuiteReport()

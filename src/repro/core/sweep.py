@@ -24,6 +24,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 from ..uarch.config import MachineConfig
 from ..uarch.recovery import RecoveryScheme
 from .experiment import ExperimentRunner
+from .session import get_session
 
 SweepRows = Dict[Tuple[object, str, str], float]  # (point, workload, config) -> IPC
 
@@ -54,7 +55,10 @@ def sweep_machine(
     architectural program, input) through the process-wide
     :class:`~repro.core.session.SimSession` — only the cycle-level pipeline
     re-runs per point.  Statically marked (``srvp_*``) variants are the base
-    program modulo RVP hints, so they share the base program's run too.
+    program modulo RVP hints, so they share the base program's run too.  The
+    sweep is one grid (:meth:`~repro.core.session.SimSession.grid`): a cell
+    that poses the same timing problem as an earlier cell of the sweep takes
+    its statistics instead of running the pipeline again.
 
     With a :class:`~repro.runtime.journal.RunJournal` attached, every sweep
     cell (``<name>=<point>/<workload>/<config>``) is committed durably as it
@@ -64,30 +68,31 @@ def sweep_machine(
     died.
     """
     rows: SweepRows = {}
-    for point in points:
-        machine = make_machine(point)
-        for workload in workloads:
-            runner = ExperimentRunner(workload, machine=machine, max_instructions=max_instructions)
-            for config in configs:
-                cell_id = f"{name}={point}/{workload}/{config}"
-                if journal is not None:
-                    entry = journal.states().get(cell_id)
-                    if entry is not None and entry.get("status") == "ok":
-                        rows[(point, workload, config)] = float(entry["result"]["ipc"])
-                        continue
-                try:
-                    ipc = runner.run(config, recovery=recovery).ipc
-                except Exception as exc:
+    with get_session().grid():
+        for point in points:
+            machine = make_machine(point)
+            for workload in workloads:
+                runner = ExperimentRunner(workload, machine=machine, max_instructions=max_instructions)
+                for config in configs:
+                    cell_id = f"{name}={point}/{workload}/{config}"
                     if journal is not None:
-                        from ..runtime.errors import classify_failure
+                        entry = journal.states().get(cell_id)
+                        if entry is not None and entry.get("status") == "ok":
+                            rows[(point, workload, config)] = float(entry["result"]["ipc"])
+                            continue
+                    try:
+                        ipc = runner.run(config, recovery=recovery).ipc
+                    except Exception as exc:
+                        if journal is not None:
+                            from ..runtime.errors import classify_failure
 
-                        journal.record(
-                            cell_id, "failed", error=repr(exc), error_kind=classify_failure(exc)
-                        )
-                    raise
-                rows[(point, workload, config)] = ipc
-                if journal is not None:
-                    journal.record(cell_id, "ok", result={"ipc": ipc})
+                            journal.record(
+                                cell_id, "failed", error=repr(exc), error_kind=classify_failure(exc)
+                            )
+                        raise
+                    rows[(point, workload, config)] = ipc
+                    if journal is not None:
+                        journal.record(cell_id, "ok", result={"ipc": ipc})
     return rows
 
 

@@ -71,6 +71,18 @@ class ValuePredictor(abc.ABC):
         state)."""
         return None
 
+    def dynamic_fingerprint(self) -> Optional[Hashable]:
+        """Hashable key naming everything the predictor's run-time behaviour
+        depends on: a class tag plus every parameter that shapes
+        :meth:`confident`, :meth:`update`, :meth:`stored_value` and, where
+        the class has them, ``observe_store``/``update_load``.  Together with
+        the routing :meth:`source` gives each static instruction, it decides
+        a timing run, so the session memoizes a cell's statistics under it.
+        The class tag is required: classes that share a
+        :meth:`static_fingerprint` share a routing, not a behaviour.
+        ``None`` (the default) means "not cacheable": every cell runs."""
+        return None
+
     @abc.abstractmethod
     def confident(self, pc: int) -> bool:
         """Whether to actually speculate on this instance."""
@@ -98,6 +110,9 @@ class NoPredictor(ValuePredictor):
         return None
 
     def static_fingerprint(self):
+        return ("no_predict",)
+
+    def dynamic_fingerprint(self):
         return ("no_predict",)
 
     def confident(self, pc: int) -> bool:

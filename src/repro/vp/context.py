@@ -79,6 +79,9 @@ class ContextPredictor(ValuePredictor):
     def static_fingerprint(self):
         return ("table_stored", self.loads_only)
 
+    def dynamic_fingerprint(self):
+        return ("context", self.entries, self.vpt_entries, self.order, self.threshold)
+
     def confident(self, pc: int) -> bool:
         context = self._context(pc)
         return context is not None and self._vpt[context][1] >= self.threshold

@@ -52,6 +52,9 @@ class LastValuePredictor(ValuePredictor):
         # predictor with the same candidate filter shares a stream.
         return ("table_stored", self.loads_only)
 
+    def dynamic_fingerprint(self):
+        return ("lvp", self.entries, self.threshold, self.tagged)
+
     def _hit(self, pc: int) -> bool:
         idx = pc & self._mask
         return not self.tagged or self._tags[idx] == pc

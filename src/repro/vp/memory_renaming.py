@@ -72,6 +72,9 @@ class MemoryRenamingPredictor(ValuePredictor):
         # Candidates are loads-with-destinations, exactly loads_only STORED.
         return ("table_stored", True)
 
+    def dynamic_fingerprint(self):
+        return ("memren", self.entries, self._store_cap, self.threshold)
+
     def _hit(self, pc: int) -> bool:
         return self._tags[pc & self._mask] == pc
 

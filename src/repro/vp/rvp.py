@@ -90,6 +90,10 @@ class DynamicRVP(ValuePredictor):
         lists_fp = self.lists.fingerprint() if self.lists is not None else None
         return ("rvp", self.loads_only, self.use_dead, self.use_live, self.use_lv, lists_fp)
 
+    def dynamic_fingerprint(self):
+        # loads_only and the hint lists shape only source(): the routing.
+        return ("rvp", self.counters.entries, self.counters.threshold, self.tagged)
+
     def confident(self, pc: int) -> bool:
         if self.tagged and self._tags.get(self.counters.index(pc)) != pc:
             return False

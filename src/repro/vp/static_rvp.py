@@ -60,6 +60,10 @@ class StaticRVP(ValuePredictor):
         lists_fp = self.lists.fingerprint() if self.lists is not None else None
         return ("srvp", self.use_dead, self.use_live, self.use_lv, lists_fp)
 
+    def dynamic_fingerprint(self):
+        # Always confident; the previous result is its only state.
+        return ("srvp",)
+
     def confident(self, pc: int) -> bool:
         return True  # marked loads are always predicted
 

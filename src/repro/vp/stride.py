@@ -57,6 +57,9 @@ class StridePredictor(ValuePredictor):
     def static_fingerprint(self):
         return ("table_stored", self.loads_only)
 
+    def dynamic_fingerprint(self):
+        return ("stride", self.entries, self.threshold)
+
     def _hit(self, pc: int) -> bool:
         return self._tags[pc & self._mask] == pc
 

@@ -435,3 +435,12 @@ def test_range_bounds_are_accepted():
     )
     assert (args.max_insts, args.threshold, args.jobs) == (1, 1.0, 1)
     assert build_parser().parse_args(["lint", "--threshold", "0"]).threshold == 0.0
+
+
+def test_suite_profile_prints_timing_memo_counters(capsys):
+    code, out = run_cli(
+        capsys, "suite", "--config", "drvp_dead", "drvp_dead_lv", "grp_all", "--max-insts", "1500", "--profile"
+    )
+    assert code == 0
+    for counter in ("session.timing.hits", "session.timing.misses", "session.timing.uncacheable"):
+        assert f'"{counter}"' in out

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.effects import implicit_defs
 from repro.compiler import reallocate
 from repro.isa import R, assemble
 from repro.profiling import DeadHint, ProfileLists, ReuseProfile, critical_path_profile
@@ -129,6 +130,20 @@ def test_lvr_gets_exclusive_register():
     profile = ReuseProfile.from_trace(after.trace)
     assert profile.sites[1].same_rate() > 0.85
     assert after.memory == run_program(program, memory=memory.copy(), max_instructions=2000).memory
+
+
+def test_lvr_register_avoids_loop_call_clobbers():
+    # li at 1.5k instructions: pc 33's loop calls out (jsr), and the first
+    # register free of the loop's definition webs was r0, which the call
+    # clobbers by convention, so the RVP008 postcondition rejected the
+    # rewrite.  Now the clobbered registers are taken too.
+    workload, lists, crit = profile_workload("li", budget=1_500)
+    new_program, report = reallocate(workload.program, lists, crit)
+    assert report.lvr_attempted >= 1
+    for pc in report.lvr_pcs | {33}:
+        loop = new_program.innermost_loop(pc)
+        clobbers = {reg for other in loop.body for reg in implicit_defs(new_program[other])}
+        assert clobbers and new_program[pc].dst not in clobbers
 
 
 def test_foreign_producer_abandoned():

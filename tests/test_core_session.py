@@ -14,6 +14,7 @@ from repro.core import (
     get_session,
 )
 from repro.compiler.marking import MARKING_LEVELS
+from repro.core.experiment import CONFIG_NAMES
 from repro.sim.functional import FunctionalSimulator
 from repro.uarch.config import table1_config
 from repro.uarch.recovery import RecoveryScheme
@@ -408,3 +409,227 @@ def test_workload_memory_returns_equal_independent_images():
     assert workload.memory("train") != second
     session.reset()
     assert session.workload("li", 1.0) is not workload
+
+
+# ----------------------------------------------------------------------
+# Timing memo: one simulation per distinct timing problem in a grid
+# ----------------------------------------------------------------------
+MEMO_INSTS = 1_500
+
+
+def _key(session, runner, config, recovery=RecoveryScheme.SELECTIVE, threshold=None, predictor=None, variant=None):
+    built_variant, built = runner._build(config, threshold)
+    return session.timing_key(
+        runner.workload.name, 1.0, runner.max_instructions,
+        predictor if predictor is not None else built, runner.machine, recovery,
+        variant if variant is not None else built_variant, threshold, runner.threshold,
+    )
+
+
+def test_timing_memo_hits_equal_fresh_simulations():
+    """Every cell of 11 workloads x all configs x 3 recovery schemes gets
+    the same statistics from the memo as from its own pipeline run."""
+    session = SimSession()
+    metrics = get_metrics()
+    cells = [
+        (name, config, recovery)
+        for name in sorted(WORKLOAD_CLASSES)
+        for config in CONFIG_NAMES
+        for recovery in RecoveryScheme
+    ]
+    runners = {
+        name: ExperimentRunner(name, max_instructions=MEMO_INSTS, session=session)
+        for name in WORKLOAD_CLASSES
+    }
+    uncacheable0 = metrics.get("session.timing.uncacheable")
+    memoized = {}
+    with session.grid():
+        for name, config, recovery in cells:
+            hits = metrics.get("session.timing.hits")
+            stats = runners[name].run(config, recovery=recovery).stats
+            if metrics.get("session.timing.hits") > hits:
+                memoized[(name, config, recovery)] = stats
+    # Only Gabbay's grp/grp_all are uncacheable.
+    assert metrics.get("session.timing.uncacheable") - uncacheable0 == 2 * len(WORKLOAD_CLASSES) * 3
+    assert len(memoized) > 100
+    runs = metrics.get("pipeline.runs")
+    for (name, config, recovery), stats in memoized.items():  # grid closed: every run simulates
+        assert runners[name].run(config, recovery=recovery).stats == stats, (name, config, recovery)
+    assert metrics.get("pipeline.runs") - runs == len(memoized)
+
+
+def _lvp(**kw):
+    from repro.vp.lvp import LastValuePredictor
+
+    return LastValuePredictor(loads_only=False, **kw)
+
+
+def _drvp(**kw):
+    from repro.vp.rvp import DynamicRVP
+
+    return DynamicRVP(**kw)
+
+
+def _stride(**kw):
+    from repro.vp.stride import StridePredictor
+
+    return StridePredictor(**kw)
+
+
+def _context(**kw):
+    from repro.vp.context import ContextPredictor
+
+    return ContextPredictor(**kw)
+
+
+def _memren(**kw):
+    from repro.vp.memory_renaming import MemoryRenamingPredictor
+
+    return MemoryRenamingPredictor(**kw)
+
+
+@pytest.mark.parametrize(
+    "make_base, make_other",
+    [
+        (lambda: _drvp(), lambda: _drvp(entries=512)),
+        (lambda: _drvp(), lambda: _drvp(threshold=3)),
+        (lambda: _drvp(), lambda: _drvp(tagged=True)),
+        (lambda: _drvp(), lambda: _drvp(loads_only=True)),
+        (lambda: _lvp(), lambda: _lvp(entries=512)),
+        (lambda: _lvp(), lambda: _lvp(threshold=3)),
+        (lambda: _lvp(), lambda: _lvp(tagged=False)),
+        (lambda: _lvp(), lambda: _stride()),  # one routing, another class
+        (lambda: _stride(), lambda: _stride(threshold=3)),
+        (lambda: _context(), lambda: _context(order=3)),
+        (lambda: _memren(), lambda: _memren(store_cache=64)),
+    ],
+    ids=[
+        "drvp-entries", "drvp-threshold", "drvp-tagged", "drvp-loads_only",
+        "lvp-entries", "lvp-threshold", "lvp-tagged", "class",
+        "stride-threshold", "context-order", "memren-store_cache",
+    ],
+)
+def test_timing_key_changes_with_each_predictor_parameter(make_base, make_other):
+    session = SimSession()
+    runner = ExperimentRunner("li", max_instructions=MEMO_INSTS, session=session)
+    with session.grid():
+        base = _key(session, runner, "drvp_all", predictor=make_base())
+        assert base == _key(session, runner, "drvp_all", predictor=make_base())
+        assert _key(session, runner, "drvp_all", predictor=make_other()) != base
+
+
+def test_timing_key_changes_with_marks_threshold_machine_and_recovery():
+    from dataclasses import replace
+
+    session = SimSession()
+    runner = ExperimentRunner("li", max_instructions=MEMO_INSTS, session=session)
+    with session.grid():
+        base = _key(session, runner, "drvp_all_dead")
+        # the profile lists' threshold (li's dead list differs at 0.5)
+        assert _key(session, runner, "drvp_all_dead", threshold=0.5) != base
+        # a machine field and the recovery scheme
+        wide = ExperimentRunner(
+            "li", max_instructions=MEMO_INSTS, session=session,
+            machine=replace(table1_config(), iq_int=16),
+        )
+        assert _key(session, wide, "drvp_all_dead") != base
+        assert _key(session, runner, "drvp_all_dead", recovery=RecoveryScheme.REFETCH) != base
+        # a marks set: one static predictor over two marked variants
+        static = runner._build("srvp_live_lv", None)[1]
+        same = _key(session, runner, "srvp_same", predictor=static, variant="srvp_same")
+        assert _key(session, runner, "srvp_same", predictor=static, variant="srvp_live_lv") != same
+
+
+def test_routing_digest_names_each_overlay_plan_field():
+    """Candidate pcs, source kind, REG source register and the read-port
+    flag each change the routing digest."""
+    from repro.core.session import routing_digest
+    from repro.isa import R, assemble
+    from repro.profiling import DeadHint, ProfileLists
+    from repro.vp.base import PredictionSource, SourceKind, ValuePredictor
+
+    program = assemble("li r1, #5\nli r2, #6\nld r3, 0x100(r31)\nadd r4, r3, #1\nhalt")
+
+    def hinted(reg):
+        lists = ProfileLists(threshold=0.8)
+        lists.dead[2] = DeadHint(reg=reg, producer_pc=0)
+        return _drvp(lists=lists, use_dead=True)
+
+    class Stored(ValuePredictor):
+        def __init__(self, table_backed):
+            self.table_backed = table_backed
+
+        def source(self, inst):
+            return PredictionSource(SourceKind.STORED) if inst.writes is not None else None
+
+        def confident(self, pc):
+            return False
+
+        def update(self, pc, correct, actual):
+            pass
+
+    digests = {
+        "dst": routing_digest(program, _drvp()),
+        "loads only": routing_digest(program, _drvp(loads_only=True)),
+        "reg r1": routing_digest(program, hinted(R[1])),
+        "reg r2": routing_digest(program, hinted(R[2])),
+        "stored, port": routing_digest(program, Stored(table_backed=False)),
+        "stored, table": routing_digest(program, Stored(table_backed=True)),
+    }
+    assert len(set(digests.values())) == len(digests)
+    assert routing_digest(program, hinted(R[1])) == digests["reg r1"]
+
+
+def test_gabbay_predictor_is_uncacheable():
+    from repro.vp.gabbay import GabbayRegisterPredictor
+
+    assert GabbayRegisterPredictor().dynamic_fingerprint() is None
+    session = SimSession()
+    runner = ExperimentRunner("li", max_instructions=MEMO_INSTS, session=session)
+    metrics = get_metrics()
+    uncacheable = metrics.get("session.timing.uncacheable")
+    with session.grid():
+        assert _key(session, runner, "grp_all") is None
+    assert metrics.get("session.timing.uncacheable") - uncacheable == 1
+
+
+def test_timing_memo_hit_is_an_independent_copy():
+    session = SimSession()
+    runner = ExperimentRunner("m88ksim", max_instructions=MEMO_INSTS, session=session)
+    metrics = get_metrics()
+    with session.grid():
+        first = runner.run("drvp_dead").stats
+        hits = metrics.get("session.timing.hits")
+        second = runner.run("drvp_dead_lv").stats  # same timing problem on m88ksim
+        assert metrics.get("session.timing.hits") - hits == 1
+        assert session.cache_stats()["timing_memo"] == 1
+        assert second == first and second is not first
+        second.cycles += 1
+        assert runner.run("drvp_dead").stats == first
+    assert session.cache_stats()["timing_memo"] == 0
+
+
+def test_timing_memo_lives_for_one_grid():
+    from dataclasses import replace
+
+    from repro.core import sweep_machine
+
+    session = get_session()
+    metrics = get_metrics()
+    assert _key(session, ExperimentRunner("li", max_instructions=MEMO_INSTS), "drvp") is None  # no grid
+    runs = []
+    for _ in range(2):
+        before = metrics.get("pipeline.runs")
+        sweep_machine(
+            "iq", (16, 32), lambda iq: replace(table1_config(), iq_int=iq, iq_fp=iq),
+            workloads=("m88ksim",), configs=("drvp_dead", "drvp_dead_lv"), max_instructions=MEMO_INSTS + 1,
+        )
+        runs.append(metrics.get("pipeline.runs") - before)
+    assert runs == [2, 2]  # one run per point each time: the memo did not outlive the sweep
+    # Nested grids share the outer memo; reset() empties it.
+    with session.grid():
+        with session.grid():
+            ExperimentRunner("m88ksim", max_instructions=MEMO_INSTS).run("drvp_dead")
+        assert session.cache_stats()["timing_memo"] == 1
+        session.reset()
+        assert session.cache_stats()["timing_memo"] == 0
